@@ -951,6 +951,19 @@ mod tests {
     }
 
     #[test]
+    fn forged_symbol_count_fails_install_cleanly() {
+        let mut bytes = image("mov r0, 7\nexit");
+        bytes[24..28].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = engine()
+            .install("forged", 1, &bytes, ContractRequest::default())
+            .unwrap_err();
+        assert!(
+            matches!(err, EngineError::Parse(ParseError::Truncated { .. })),
+            "{err:?}"
+        );
+    }
+
+    #[test]
     fn install_and_execute() {
         let mut e = engine();
         let id = e

@@ -2,7 +2,8 @@
 //! link ([`fc_fleet::FcFleet::metrics`]), snapshots decoded off the
 //! wire and merged — counters sum, gauges max, histograms add — into
 //! one fleet view whose numbers reconcile **exactly** with the
-//! authoritative `HostStats` / `TransportStats` ledgers.
+//! nodes' own views of their ledgers (`NodeStats`, read straight off
+//! each host's telemetry lanes) and the `TransportStats` counters.
 
 use fc_core::contract::ContractOffer;
 use fc_core::deploy::author_update;
@@ -136,6 +137,11 @@ fn two_node_scrape_decodes_and_reconciles_with_ledger() {
     let (merged, failed) = fleet.merged_metrics();
     assert!(failed.is_empty(), "every node answered: {failed:?}");
     assert_eq!(merged.nodes, 2, "both nodes merged");
+    assert_eq!(
+        merged.counter(CounterId::KeyedOverflow),
+        0,
+        "no bounded key table dropped a ledger row"
+    );
     let ledger = ledger_of(&mut fleet);
     assert_eq!(merged.counter(CounterId::Dispatched), 20);
     assert_eq!(merged.counter(CounterId::Dispatched), ledger.dispatched);
@@ -159,7 +165,7 @@ fn two_node_scrape_decodes_and_reconciles_with_ledger() {
 /// The acceptance scenario: a 4-node fleet over 5%-loss links serves
 /// metrics end to end — per-tenant interpolated p50/p99, per-shard
 /// queue depth, and shed + rate-limited + retransmit counters that
-/// reconcile exactly with the `HostStats` / `TransportStats` ledgers.
+/// reconcile exactly with the `NodeStats` / `TransportStats` ledgers.
 #[test]
 fn four_node_lossy_fleet_merged_view_reconciles_exactly() {
     let key = SigningKey::from_seed(b"metrics-maintainer");
@@ -270,6 +276,11 @@ fn four_node_lossy_fleet_merged_view_reconciles_exactly() {
     let (merged, failed) = fleet.merged_metrics();
     assert!(failed.is_empty(), "every node answered: {failed:?}");
     assert_eq!(merged.nodes, 4, "all four nodes merged");
+    assert_eq!(
+        merged.counter(CounterId::KeyedOverflow),
+        0,
+        "no bounded key table dropped a ledger row"
+    );
     let ledger = ledger_of(&mut fleet);
 
     assert_eq!(merged.counter(CounterId::Dispatched), ledger.dispatched);
@@ -442,6 +453,11 @@ fn restored_node_does_not_recount_pre_crash_dispatches() {
     let (merged, failed) = fleet.merged_metrics();
     assert!(failed.is_empty(), "every node answered: {failed:?}");
     assert_eq!(merged.nodes, 2);
+    assert_eq!(
+        merged.counter(CounterId::KeyedOverflow),
+        0,
+        "no bounded key table dropped a ledger row"
+    );
     let ledger = ledger_of(&mut fleet);
     assert_eq!(
         merged.counter(CounterId::Dispatched),

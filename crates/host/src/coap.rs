@@ -749,9 +749,8 @@ mod tests {
         assert!(reason.contains("rate limit"), "distinct reason: {reason}");
         assert_eq!(updates.rate_limited_count(), 1);
         assert_eq!(
-            host.stats()
-                .deploys_rate_limited
-                .load(std::sync::atomic::Ordering::Relaxed),
+            host.metrics_snapshot()
+                .counter(crate::CounterId::DeploysRateLimited),
             1
         );
         // The refusal burned neither the sequence nor the staged
@@ -913,9 +912,7 @@ mod tests {
         let snap = MetricsSnapshot::decode(&resp.payload).unwrap();
         assert_eq!(
             snap.counter(CounterId::Dispatched),
-            host.stats()
-                .dispatched
-                .load(std::sync::atomic::Ordering::Relaxed)
+            host.telemetry().dispatched()
         );
         assert_eq!(snap.tenant(7).unwrap().executions, 10);
         // Tenant-scoped resource.

@@ -29,7 +29,6 @@
 //! of side-channel mutation of a running sandbox.
 
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
 
 use fc_core::deploy::{component_name, contract_request_for};
 use fc_core::engine::{ContainerId, EngineError};
@@ -39,7 +38,7 @@ use fc_rbpf::program::FcProgram;
 use fc_suit::{UpdateError, UpdateManager, Uuid, VerifyingKey};
 
 use crate::host::{FcHost, HostError};
-use crate::telemetry::TraceKind;
+use crate::telemetry::{CounterId, TraceKind};
 
 /// Why a live deployment was refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -481,9 +480,7 @@ impl LiveUpdateService {
         if let Some(bucket) = self.rate_limits.get_mut(&tenant) {
             if !bucket.try_take(host.env().now_us()) {
                 self.rate_limited += 1;
-                host.stats()
-                    .deploys_rate_limited
-                    .fetch_add(1, Ordering::Relaxed);
+                host.telemetry().count(CounterId::DeploysRateLimited, 1);
                 host.telemetry().trace_hook(
                     host.env().now_us(),
                     TraceKind::DeployRateLimited,

@@ -64,10 +64,8 @@ use crate::journal::{CaptureSink, DurabilityConfig, DurableTag, Journal, Journal
 use crate::queue::{Accepted, BatchAccepted, Event, Inbox, ShedPolicy};
 use crate::rebalance::{RebalanceConfig, Rebalancer};
 use crate::shard::{spawn_shard, Command, OutstandingGauge, ShardParams, ShardReport, SharedInbox};
-use crate::stats::HostStats;
 use crate::telemetry::{
-    CounterId, GaugeId, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, ShardMetrics,
-    TelemetryConfig, TenantMetrics, TraceKind,
+    CounterId, GaugeId, MetricsRegistry, MetricsSnapshot, TelemetryConfig, TraceKind,
 };
 
 /// Why a host operation failed.
@@ -263,9 +261,9 @@ impl Placement {
 pub struct FcHost {
     shards: Vec<Shard>,
     env: Arc<HostEnv>,
-    stats: Arc<HostStats>,
-    /// Keyed metrics + trace ring, recorded into by producers and
-    /// shard workers alike (lock-free; see [`crate::telemetry`]).
+    /// The dispatch ledger (one lane per shard worker), the
+    /// producer-side counters and the trace ring — the host's only
+    /// accounting (lock-free; see [`crate::telemetry`]).
     telemetry: Arc<MetricsRegistry>,
     /// Events accepted but not yet executed (quiescence tracking).
     outstanding: Arc<OutstandingGauge>,
@@ -353,7 +351,6 @@ impl FcHost {
         // A zero-capacity queue could never hold an event; DropOldest
         // would displace from an empty queue.
         config.queue_capacity = config.queue_capacity.max(1);
-        let stats = Arc::new(HostStats::new());
         let telemetry = Arc::new(MetricsRegistry::new(config.telemetry, workers));
         let outstanding = Arc::new(OutstandingGauge::new());
         let params = ShardParams {
@@ -372,7 +369,6 @@ impl FcHost {
                     flavor,
                     Arc::clone(&env),
                     Arc::clone(&inbox),
-                    Arc::clone(&stats),
                     Arc::clone(&outstanding),
                     Arc::clone(&telemetry),
                     params,
@@ -387,7 +383,6 @@ impl FcHost {
         FcHost {
             shards,
             env,
-            stats,
             telemetry,
             outstanding,
             platform,
@@ -447,90 +442,38 @@ impl FcHost {
         Arc::clone(&self.env)
     }
 
-    /// Dispatch statistics.
-    pub fn stats(&self) -> &HostStats {
-        &self.stats
-    }
-
-    /// The observability registry: keyed metrics plus the bounded
-    /// event-trace ring (see [`crate::telemetry`]).
+    /// The metrics registry: the per-worker dispatch ledger, the
+    /// producer-side counters and the bounded event-trace ring (see
+    /// [`crate::telemetry`]).
     pub fn telemetry(&self) -> &MetricsRegistry {
         &self.telemetry
     }
 
-    /// Builds a point-in-time [`MetricsSnapshot`] of this host: ledger
-    /// counters from [`HostStats`] (so the snapshot reconciles exactly
-    /// with `stats()` by construction), keyed per-hook/per-tenant/
-    /// per-shard sections from the telemetry registry, and per-shard
-    /// queue depth plus busy cycles observed at scrape time.
+    /// Builds a point-in-time [`MetricsSnapshot`] of this host: the
+    /// whole telemetry ledger (counters, latency, per-hook, per-tenant
+    /// and per-shard rows), the journal counters when durable, and the
+    /// per-shard queue depth observed at scrape time.
     ///
-    /// This is a *scrape-path* operation: it takes each inbox lock
-    /// briefly for the queue depth and round-trips every shard's
-    /// control lane for busy cycles. The dispatch path records nothing
-    /// here.
+    /// This is a *scrape-path* operation: it reads the lanes and takes
+    /// each inbox lock briefly for the queue depth. It never waits on a
+    /// shard worker, and the dispatch path records nothing here.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot {
             nodes: 1,
             ..MetricsSnapshot::default()
         };
-        let s = &self.stats;
-        let pairs = [
-            (CounterId::Enqueued, &s.enqueued),
-            (CounterId::Dispatched, &s.dispatched),
-            (CounterId::Shed, &s.shed),
-            (CounterId::Displaced, &s.displaced),
-            (CounterId::Batches, &s.batches),
-            (CounterId::Migrations, &s.migrations),
-            (CounterId::Deploys, &s.deploys),
-            (CounterId::DeploysRateLimited, &s.deploys_rate_limited),
-            (CounterId::InbandObservations, &s.inband_observations),
-            (CounterId::Faults, &s.faults),
-            (CounterId::Insns, &s.insns),
-        ];
-        for (id, counter) in pairs {
-            snap.set_counter(id, counter.load(Ordering::Relaxed));
-        }
-        snap.latency = HistogramSnapshot(s.latency.load());
+        self.telemetry.fill_snapshot(&mut snap);
         if let Some(journal) = &self.journal {
             let ops = journal.ops();
             snap.set_counter(CounterId::JournalAppends, ops.appends);
             snap.set_counter(CounterId::JournalBytes, ops.bytes);
             snap.set_counter(CounterId::JournalFolds, ops.folds);
         }
-        self.telemetry.fill_snapshot(&mut snap);
-        // With keyed recording disabled the registry contributes no
-        // tenant rows; fall back to the ledger (no latency breakdown).
-        if snap.tenants.is_empty() {
-            for (tenant, t) in self.stats.tenants_shared().iter() {
-                snap.tenants.push(TenantMetrics {
-                    tenant: *tenant,
-                    executions: t.executions,
-                    insns: t.insns,
-                    latency: HistogramSnapshot::default(),
-                });
-            }
-        }
-        // One shard row per worker even when the registry is disabled.
-        while snap.shards.len() < self.shards.len() {
-            snap.shards.push(ShardMetrics {
-                node: 0,
-                shard: snap.shards.len() as u32,
-                dispatched: 0,
-                queue_depth: 0,
-                busy_cycles: 0,
-                latency: HistogramSnapshot::default(),
-            });
-        }
         let mut max_depth = 0u64;
-        for (i, shard) in self.shards.iter().enumerate() {
+        for (row, shard) in snap.shards.iter_mut().zip(&self.shards) {
             let depth = shard.inbox.0.lock().expect("inbox lock").depth() as u64;
             max_depth = max_depth.max(depth);
-            snap.shards[i].queue_depth = depth;
-        }
-        for report in self.shard_reports() {
-            if let Some(row) = snap.shards.get_mut(report.shard) {
-                row.busy_cycles = report.sim_cycles;
-            }
+            row.queue_depth = depth;
         }
         snap.gauge_max(GaugeId::QueueDepthMax, max_depth);
         snap.gauge_max(GaugeId::VirtualNowUs, self.env.now_us());
@@ -593,11 +536,9 @@ impl FcHost {
         {
             let mut inbox = lock.lock().expect("inbox lock");
             inbox.add_queue(hook.id);
-            inbox.control.push_back(Command::RegisterHook {
-                hook,
-                offer,
-                seed_cycles: 0,
-            });
+            inbox
+                .control
+                .push_back(Command::RegisterHook { hook, offer });
         }
         cvar.notify_one();
     }
@@ -605,7 +546,7 @@ impl FcHost {
     /// Unregisters a hook: its queue is removed (pending events are
     /// shed — their reply senders drop, which synchronous callers see
     /// as [`HostError::Shed`]), its engine registration is dropped, and
-    /// its per-hook cycle accounting on the owning shard is pruned so a
+    /// every shard clears its lane's cycle count for the hook so a
     /// later re-registration of the same UUID starts from a clean
     /// baseline. Attached containers stay installed and are returned in
     /// attachment order.
@@ -627,24 +568,33 @@ impl FcHost {
             lock.lock().expect("inbox lock").remove_queue(hook)
         };
         for _ in &dropped {
-            self.stats.shed.fetch_add(1, Ordering::Relaxed);
-            self.stats.displaced.fetch_add(1, Ordering::Relaxed);
             self.outstanding.sub();
         }
         if !dropped.is_empty() {
-            self.telemetry.record_shed(&hook, dropped.len() as u64);
-            self.telemetry.trace_hook(
-                self.env.now_us(),
-                TraceKind::Shed,
-                &hook,
-                dropped.len() as u64,
-            );
+            let n = dropped.len() as u64;
+            self.telemetry.count(CounterId::Shed, n);
+            self.telemetry.count(CounterId::Displaced, n);
+            self.telemetry.record_shed(&hook, n);
+            self.telemetry
+                .trace_hook(self.env.now_us(), TraceKind::Shed, &hook, n);
         }
         self.telemetry
             .trace_hook(self.env.now_us(), TraceKind::Lifecycle, &hook, 0);
         let (tx, rx) = sync_channel(1);
         self.send_command(shard, Command::UnregisterHook { hook, reply: tx });
-        let (attached, _cycles) = Self::recv(rx)?;
+        let attached = Self::recv(rx)?;
+        // Each worker clears its own lane (the single-writer rule);
+        // wait for all of them so no later read sees a stale count.
+        let cleared: Vec<_> = (0..self.shards.len())
+            .map(|s| {
+                let (done, rx) = sync_channel(1);
+                self.send_command(s, Command::ClearHookCycles { hook, done });
+                rx
+            })
+            .collect();
+        for rx in cleared {
+            Self::recv(rx)?;
+        }
         p.hook_shard.remove(&hook);
         p.hook_specs.remove(&hook);
         for container in &attached {
@@ -1032,7 +982,7 @@ impl FcHost {
             p.specs.remove(&old);
         }
         if forced_id.is_none() {
-            self.stats.deploys.fetch_add(1, Ordering::Relaxed);
+            self.telemetry.count(CounterId::Deploys, 1);
         }
         let at = self.env.now_us();
         match hook {
@@ -1119,7 +1069,7 @@ impl FcHost {
             match outcome {
                 Ok((accepted, displaced)) => {
                     cvar.notify_one();
-                    self.stats.enqueued.fetch_add(1, Ordering::Relaxed);
+                    self.telemetry.count(CounterId::Enqueued, 1);
                     self.telemetry.trace_hook(
                         self.env.now_us(),
                         TraceKind::Enqueue,
@@ -1129,8 +1079,8 @@ impl FcHost {
                     if displaced.is_some() {
                         // The displaced event never executes; its
                         // outstanding slot transfers to the new event.
-                        self.stats.shed.fetch_add(1, Ordering::Relaxed);
-                        self.stats.displaced.fetch_add(1, Ordering::Relaxed);
+                        self.telemetry.count(CounterId::Shed, 1);
+                        self.telemetry.count(CounterId::Displaced, 1);
                         self.outstanding.sub();
                         self.telemetry.record_shed(&hook, 1);
                         self.telemetry
@@ -1139,7 +1089,7 @@ impl FcHost {
                     Ok(accepted)
                 }
                 Err(_event) => {
-                    self.stats.shed.fetch_add(1, Ordering::Relaxed);
+                    self.telemetry.count(CounterId::Shed, 1);
                     self.outstanding.sub();
                     self.telemetry.record_shed(&hook, 1);
                     self.telemetry
@@ -1310,10 +1260,9 @@ impl FcHost {
                 inbox.enqueue_batch(queued, self.config.queue_capacity, self.config.shed)
             };
             cvar.notify_one();
-            self.stats.batches.fetch_add(1, Ordering::Relaxed);
-            self.stats
-                .enqueued
-                .fetch_add(outcome.accepted as u64, Ordering::Relaxed);
+            self.telemetry.count(CounterId::Batches, 1);
+            self.telemetry
+                .count(CounterId::Enqueued, outcome.accepted as u64);
             if outcome.accepted > 0 {
                 // One span for the whole batch: the amortised path
                 // stays amortised in the trace too.
@@ -1326,10 +1275,9 @@ impl FcHost {
             }
             let shed = (outcome.rejected + outcome.displaced) as u64;
             if shed > 0 {
-                self.stats.shed.fetch_add(shed, Ordering::Relaxed);
-                self.stats
-                    .displaced
-                    .fetch_add(outcome.displaced as u64, Ordering::Relaxed);
+                self.telemetry.count(CounterId::Shed, shed);
+                self.telemetry
+                    .count(CounterId::Displaced, outcome.displaced as u64);
                 self.telemetry.record_shed(&hook, shed);
                 self.telemetry
                     .trace_hook(self.env.now_us(), TraceKind::Shed, &hook, shed);
@@ -1380,7 +1328,7 @@ impl FcHost {
     /// observes again.
     fn maybe_rebalance(&self) {
         let Some(inband) = &self.inband else { return };
-        let dispatched = self.stats.dispatched.load(Ordering::Relaxed);
+        let dispatched = self.telemetry.dispatched();
         if dispatched < self.next_rebalance_at.load(Ordering::Relaxed) {
             return;
         }
@@ -1389,7 +1337,7 @@ impl FcHost {
         };
         // Re-check under the lock: another producer may have just
         // observed and advanced the threshold.
-        let dispatched = self.stats.dispatched.load(Ordering::Relaxed);
+        let dispatched = self.telemetry.dispatched();
         if dispatched < self.next_rebalance_at.load(Ordering::Relaxed) {
             return;
         }
@@ -1397,9 +1345,7 @@ impl FcHost {
             dispatched + self.config.rebalance_interval.max(1),
             Ordering::Relaxed,
         );
-        self.stats
-            .inband_observations
-            .fetch_add(1, Ordering::Relaxed);
+        self.telemetry.count(CounterId::InbandObservations, 1);
         let _ = rebalancer.observe(self);
     }
 
@@ -1409,15 +1355,16 @@ impl FcHost {
         self.outstanding.wait_zero();
     }
 
-    /// Point-in-time reports from every shard.
+    /// Point-in-time reports from every shard: each shard's telemetry
+    /// lane, with hook cycles attributed to the hooks' current owners
+    /// and container counts from placement. No shard worker is asked.
     pub fn shard_reports(&self) -> Vec<ShardReport> {
-        let mut reports = Vec::with_capacity(self.shards.len());
-        for shard in 0..self.shards.len() {
-            let (tx, rx) = sync_channel(1);
-            self.send_command(shard, Command::Report { reply: tx });
-            if let Ok(r) = Self::recv(rx) {
-                reports.push(r);
-            }
+        let p = self.placement.read().expect("placement lock");
+        let mut reports = self
+            .telemetry
+            .shard_reports(|hook| p.hook_shard.get(hook).copied());
+        for (report, &containers) in reports.iter_mut().zip(&p.shard_load) {
+            report.containers = containers;
         }
         reports
     }
@@ -1433,9 +1380,9 @@ impl FcHost {
     /// 1. the hook's pending events are pulled off the old shard's
     ///    inbox (they were accepted and must not be shed by the move);
     /// 2. the hook is unregistered from the old engine, yielding the
-    ///    authoritative attachment order plus the cycles the hook
-    ///    accrued there, which travel to the target so rebalancer
-    ///    accounting stays monotone;
+    ///    authoritative attachment order (the cycles it accrued there
+    ///    stay in the old shard's lane and keep counting towards the
+    ///    hook, so rebalancer accounting stays monotone);
     /// 3. the hook is re-registered on the target shard from the
     ///    retained descriptor/offer;
     /// 4. each attached container is placed on the target — the slot
@@ -1483,11 +1430,10 @@ impl FcHost {
             lock.lock().expect("inbox lock").remove_queue(hook)
         };
         // 2. Unregister on the old engine; its attachment order is the
-        // contract for identical per-event semantics on the target, and
-        // its accrued cycles seed the target's accounting.
+        // contract for identical per-event semantics on the target.
         let (tx, rx) = sync_channel(1);
         self.send_command(from, Command::UnregisterHook { hook, reply: tx });
-        let (attached, carried_cycles) = match Self::recv(rx) {
+        let attached = match Self::recv(rx) {
             Ok(reply) => reply,
             Err(e) => {
                 // The old worker is gone (host shutting down): put the
@@ -1508,11 +1454,9 @@ impl FcHost {
             let (lock, cvar) = &*self.shards[to].inbox;
             let mut inbox = lock.lock().expect("inbox lock");
             inbox.add_queue(hook);
-            inbox.control.push_back(Command::RegisterHook {
-                hook: desc,
-                offer,
-                seed_cycles: carried_cycles,
-            });
+            inbox
+                .control
+                .push_back(Command::RegisterHook { hook: desc, offer });
             cvar.notify_one();
         }
         // Flip the routing authority now: every subsequent attach,
@@ -1554,7 +1498,7 @@ impl FcHost {
             cvar.notify_one();
         }
         if outcome.is_ok() {
-            self.stats.migrations.fetch_add(1, Ordering::Relaxed);
+            self.telemetry.count(CounterId::Migrations, 1);
             self.telemetry.trace_hook(
                 self.env.now_us(),
                 TraceKind::Migrate,

@@ -339,9 +339,9 @@ pub struct RecoveredExchange {
 }
 
 /// Aggregate counter state folded out of the journal: what a restored
-/// node seeds its [`crate::HostStats`] and telemetry registry with so
-/// fleet-level reconciliation (`dispatched == offered`) holds across a
-/// crash without re-counting pre-crash events.
+/// node seeds its telemetry ledger with (once, in `LocalNode::restore`)
+/// so fleet-level reconciliation (`dispatched == offered`) holds across
+/// a crash without re-counting pre-crash events.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CounterSeeds {
     /// Events accepted (durably committed ones only).
@@ -727,10 +727,6 @@ fn decode_snapshot(r: &mut Reader) -> Result<RecoveredState, WireError> {
 
 // ----------------------------------------------------------- recovery
 
-fn latency_bucket(ns: u64) -> usize {
-    (63 - ns.max(1).leading_zeros()) as usize
-}
-
 /// Recovery accumulator: a [`RecoveredState`] plus the lookup indexes
 /// replay needs for dedup.
 #[derive(Default)]
@@ -805,7 +801,7 @@ impl Fold {
         self.seeds.dispatched += 1;
         self.seeds.faults += rec.faults;
         self.seeds.insns += rec.insns;
-        self.seeds.latency.0[latency_bucket(rec.latency_ns)] += 1;
+        self.seeds.latency.record(rec.latency_ns);
         *self.hooks.entry(rec.hook).or_insert(0) += 1;
         for &(tenant, insns) in &rec.charges {
             let slot = self.tenants.entry(tenant).or_insert((0, 0));

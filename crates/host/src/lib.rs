@@ -101,7 +101,6 @@ pub mod queue;
 pub mod rebalance;
 pub mod service;
 pub mod shard;
-pub mod stats;
 pub mod telemetry;
 pub mod wire;
 
@@ -120,10 +119,10 @@ pub use service::{
     LocalNode, NodeError, NodeReply, NodeService, NodeStats, Ticket, TransportStats, WindowedNode,
 };
 pub use shard::ShardReport;
-pub use stats::{HostStats, LatencyHistogram, TenantStats};
 pub use telemetry::{
-    CounterId, GaugeId, HistogramSnapshot, HookMetrics, MetricsRegistry, MetricsSnapshot,
-    ShardMetrics, SnapshotError, TelemetryConfig, TenantMetrics, TraceEvent, TraceKind, TraceRing,
+    CounterId, GaugeId, HistogramSnapshot, HookMetrics, LatencyHistogram, MetricsRegistry,
+    MetricsSnapshot, ShardMetrics, SnapshotError, TelemetryConfig, TenantMetrics, TraceEvent,
+    TraceKind, TraceRing,
 };
 
 #[cfg(test)]
@@ -364,12 +363,9 @@ exit";
             }
         }
         assert!(shed > 0, "offered 200 events into a capacity-2 queue");
-        assert!(h.stats().shed_rate() > 0.0);
+        assert!(h.metrics_snapshot().shed_rate() > 0.0);
         h.quiesce();
-        let done = h
-            .stats()
-            .dispatched
-            .load(std::sync::atomic::Ordering::Relaxed);
+        let done = h.metrics_snapshot().counter(CounterId::Dispatched);
         assert_eq!(done + shed, 200);
         h.shutdown();
     }
@@ -398,7 +394,7 @@ exit";
             assert_eq!(report.combined, Some(i as u64), "per-event reply order");
         }
         assert_eq!(
-            h.stats().batches.load(std::sync::atomic::Ordering::Relaxed),
+            h.metrics_snapshot().counter(CounterId::Batches),
             1,
             "one queue round-trip for the whole batch"
         );
@@ -449,13 +445,10 @@ exit";
         }
         assert!(shed > 0, "tiny queue must shed under batch pressure");
         h.quiesce();
-        let stats = h.stats();
-        let dispatched = stats.dispatched.load(std::sync::atomic::Ordering::Relaxed) as usize;
+        let snap = h.metrics_snapshot();
+        let dispatched = snap.counter(CounterId::Dispatched) as usize;
         assert_eq!(dispatched, accepted, "every accepted event executed");
-        assert_eq!(
-            stats.shed.load(std::sync::atomic::Ordering::Relaxed) as usize,
-            shed
-        );
+        assert_eq!(snap.counter(CounterId::Shed) as usize, shed);
         h.shutdown();
     }
 
@@ -491,12 +484,7 @@ exit";
         assert_eq!(h.shard_of(b), Some(to));
         let report = h.fire_sync(hook_id, &[], &[]).unwrap();
         assert_eq!(report.combined, Some(42), "attachment order preserved");
-        assert_eq!(
-            h.stats()
-                .migrations
-                .load(std::sync::atomic::Ordering::Relaxed),
-            1
-        );
+        assert_eq!(h.metrics_snapshot().counter(CounterId::Migrations), 1);
         // Migrating to the same shard is a no-op; bad shard errors.
         h.migrate_hook(hook_id, to).unwrap();
         assert!(matches!(
@@ -545,12 +533,7 @@ exit";
             assert_eq!(rx.recv().expect("not shed").unwrap().combined, Some(7));
         }
         h.quiesce();
-        assert_eq!(
-            h.stats()
-                .dispatched
-                .load(std::sync::atomic::Ordering::Relaxed),
-            40
-        );
+        assert_eq!(h.telemetry().dispatched(), 40);
         h.shutdown();
     }
 
@@ -618,13 +601,14 @@ exit";
             h.fire(light_id, &[], &[]).unwrap();
         }
         h.quiesce();
-        let tenants = h.stats().tenants();
-        assert_eq!(tenants.len(), 2);
-        let (t1, t2) = (tenants[0].1, tenants[1].1);
+        let snap = h.metrics_snapshot();
+        assert_eq!(snap.tenants.len(), 2);
+        let (t1, t2) = (&snap.tenants[0], &snap.tenants[1]);
+        assert_eq!((t1.tenant, t2.tenant), (1, 2));
         assert_eq!(t1.executions, 10);
         assert_eq!(t2.executions, 10);
         assert!(t1.insns > 50 * t2.insns, "heavy tenant's share is visible");
-        assert!(h.stats().latency.count() >= 20);
+        assert_eq!(snap.latency.count(), 20);
         h.shutdown();
     }
 }

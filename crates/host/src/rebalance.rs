@@ -9,8 +9,9 @@
 //! capping the host's schedulable throughput at the hottest shard.
 //!
 //! The [`Rebalancer`] closes that loop using signals the shards
-//! already export ([`crate::ShardReport`]): **simulated platform
-//! cycles** per shard and per hook. Because the cycle model is
+//! already record in their telemetry lanes and export as
+//! [`crate::ShardReport`]s: **simulated platform cycles** per shard and
+//! per hook. Because the cycle model is
 //! deterministic and preemption-free, the imbalance measure is immune
 //! to how the host box time-slices worker threads — the same
 //! methodology the capacity metric in `BENCH_host.json` is built on.
@@ -248,10 +249,10 @@ impl Rebalancer {
     ///   zero.
     ///
     /// Hook baselines are retained only for hooks present in the
-    /// current reports: a removed hook's baseline dies with it (the
-    /// shard workers prune their per-hook counters at unregistration),
-    /// so a reused hook UUID starts from a clean window instead of
-    /// under-counting against a stale count.
+    /// current reports: a removed hook's baseline dies with it (reports
+    /// list only registered hooks, and removal clears the hook's lane
+    /// counts), so a reused hook UUID starts from a clean window
+    /// instead of under-counting against a stale count.
     fn take_window(
         &mut self,
         reports: &[ShardReport],
@@ -486,7 +487,7 @@ mod tests {
             ..ShardReport::default()
         };
         r.take_window(&[rep(1000, vec![(h, 1000)])], 1);
-        // The hook is unregistered; the worker pruned its entry.
+        // The hook is unregistered: reports no longer list it.
         let (_, hw, _) = r.take_window(&[rep(1000, vec![])], 1);
         assert!(hw.is_empty());
         assert!(
@@ -551,10 +552,9 @@ mod tests {
                 .collect()
         }
 
-        /// Bugfix (the leak): a migrated hook's cycle entry must leave
-        /// the old shard's accounting — it used to stay forever, so
-        /// every migration grew every report until each shard listed
-        /// every hook that ever touched it.
+        /// A migrated hook is listed only under its current shard —
+        /// never under every shard that ever ran it — and its count
+        /// keeps the cycles it accrued before the move.
         #[test]
         fn migration_prunes_old_shard_and_carries_cycles() {
             let mut host = FcHost::new(
@@ -632,7 +632,7 @@ mod tests {
 
             host.register_hook(mk(), offer);
             host.attach(c, hook_id).unwrap();
-            host.fire_sync(hook_id, &[], &[]).unwrap();
+            let fresh = host.fire_sync(hook_id, &[], &[]).unwrap().cycles;
             host.quiesce();
             let report = rb.observe(&host).unwrap();
             let window = report
@@ -641,9 +641,10 @@ mod tests {
                 .find(|(h, _)| *h == hook_id)
                 .map(|(_, w)| *w)
                 .unwrap_or(0);
-            assert!(
-                window > 0,
-                "reused hook's first window counts its fresh cycles"
+            assert!(fresh > 0);
+            assert_eq!(
+                window, fresh,
+                "reused hook's first window is exactly its fresh cycles"
             );
             host.shutdown();
         }

@@ -89,7 +89,9 @@ impl From<LiveDeployError> for NodeError {
 }
 
 /// A point-in-time stats/health snapshot of one node — the fleet's
-/// observability surface, wire-encodable.
+/// observability surface, wire-encodable. The dispatch figures are a
+/// view over the host's telemetry lanes, the same ledger `/metrics`
+/// reads.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeStats {
     /// Events fully executed on the node.
@@ -466,8 +468,8 @@ impl LocalNode {
     /// seeding keys per-hook telemetry off the re-derived shard),
     /// reinstalls every committed deploy at its pre-crash container id
     /// and rollback-protected sequence, reapplies committed kv state,
-    /// seeds the stats/telemetry counters so pre-crash dispatches are
-    /// not re-counted, and rebuilds the exchange-resume cache so
+    /// seeds the telemetry ledger once so pre-crash dispatches are not
+    /// re-counted, and rebuilds the exchange-resume cache so
     /// retransmissions of pre-crash exchanges answer byte-identically.
     ///
     /// Tenant trust anchors are **not** durable — re-provision them
@@ -486,8 +488,6 @@ impl LocalNode {
         durability: DurabilityConfig,
         hooks: Vec<(Hook, ContractOffer)>,
     ) -> Result<Self, JournalError> {
-        use std::sync::atomic::Ordering;
-
         let (journal, state) = Journal::recover(media, durability)?;
         // The journal is still quiet: nothing replayed below re-enters
         // it (bare store notifications no-op until `arm`).
@@ -519,25 +519,9 @@ impl LocalNode {
                 .map_err(|e| JournalError::Replay(e.to_string()))?;
         }
         let seeds = &state.seeds;
-        let stats = node.host.stats();
-        stats.enqueued.fetch_add(seeds.enqueued, Ordering::Relaxed);
-        stats
-            .dispatched
-            .fetch_add(seeds.dispatched, Ordering::Relaxed);
-        stats.faults.fetch_add(seeds.faults, Ordering::Relaxed);
-        stats.insns.fetch_add(seeds.insns, Ordering::Relaxed);
-        stats.deploys.fetch_add(seeds.deploys, Ordering::Relaxed);
-        stats.latency.absorb(&seeds.latency.0);
-        for &(tenant, executions, insns) in &seeds.tenants {
-            stats.seed_tenant(tenant, executions, insns);
-            node.host
-                .telemetry()
-                .seed_tenant(0, tenant, executions, insns);
-        }
-        for &(hook, dispatched) in &seeds.hooks {
-            let shard = node.host.shard_of_hook(hook).unwrap_or(0);
-            node.host.telemetry().seed_hook(shard, &hook, dispatched);
-        }
+        node.host
+            .telemetry()
+            .seed(seeds, |hook| node.host.shard_of_hook(*hook).unwrap_or(0));
         node.updates.seed_accepted(seeds.deploys);
         node.resume = state
             .exchanges
@@ -728,24 +712,17 @@ impl NodeService for LocalNode {
     }
 
     fn stats(&mut self) -> Result<NodeStats, NodeError> {
-        use std::sync::atomic::Ordering;
-        let stats = self.host.stats();
-        let max_shard_busy_cycles = self
-            .host
-            .shard_reports()
-            .iter()
-            .map(|r| r.sim_cycles)
-            .max()
-            .unwrap_or(0);
+        use crate::telemetry::CounterId;
+        let snap = self.host.metrics_snapshot();
         Ok(NodeStats {
-            dispatched: stats.dispatched.load(Ordering::Relaxed),
-            shed: stats.shed.load(Ordering::Relaxed),
+            dispatched: snap.counter(CounterId::Dispatched),
+            shed: snap.counter(CounterId::Shed),
             deploys_accepted: self.updates.accepted_count(),
             deploys_rejected: self.updates.rejected_count() + self.updates.rate_limited_count(),
             hooks: self.hooks,
-            p50_ns: stats.latency.quantile_ns(0.50),
-            p99_ns: stats.latency.quantile_ns(0.99),
-            max_shard_busy_cycles,
+            p50_ns: snap.latency.quantile_ns(0.50),
+            p99_ns: snap.latency.quantile_ns(0.99),
+            max_shard_busy_cycles: snap.shards.iter().map(|s| s.busy_cycles).max().unwrap_or(0),
         })
     }
 

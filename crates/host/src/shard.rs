@@ -38,8 +38,7 @@ use fc_suit::Uuid;
 
 use crate::journal::{self, CommitRecord, Journal};
 use crate::queue::Inbox;
-use crate::stats::HostStats;
-use crate::telemetry::{MetricsRegistry, TraceKind};
+use crate::telemetry::{DispatchRecord, MetricsRegistry, TraceKind};
 use crate::{HostError, NodeError};
 
 /// A lifecycle or query command routed to one shard's control lane.
@@ -104,31 +103,28 @@ pub(crate) enum Command {
     RegisterHook {
         hook: Hook,
         offer: ContractOffer,
-        /// Per-hook cycles the hook accrued on the shard it migrated
-        /// from, carried over so the rebalancer's summed-over-shards
-        /// accounting stays monotone across moves (0 for a fresh
-        /// registration).
-        seed_cycles: u64,
     },
     /// Drops a hook's registration, replying with the containers that
-    /// were attached in attachment order (the migration contract) plus
-    /// the per-hook cycles accrued here, which the host seeds into the
-    /// target shard's registration. The local per-hook cycle entry is
-    /// pruned — a departed hook must not haunt future reports (and a
-    /// reused hook UUID must not inherit a stale count).
+    /// were attached in attachment order (the migration contract).
     UnregisterHook {
         hook: Uuid,
-        reply: SyncSender<(Vec<ContainerId>, u64)>,
+        reply: SyncSender<Vec<ContainerId>>,
+    },
+    /// Zeroes a removed hook's cycle row in this worker's own lane, so
+    /// a reused hook UUID never inherits a stale rebalancer count.
+    /// Sent to every shard: the hook may have run on several.
+    ClearHookCycles {
+        hook: Uuid,
+        done: SyncSender<()>,
     },
     SetExecConfig {
         config: ExecConfig,
     },
-    Report {
-        reply: SyncSender<ShardReport>,
-    },
 }
 
-/// A point-in-time view of one shard, for balancing and benchmarks.
+/// A point-in-time view of one shard, for balancing and benchmarks —
+/// a read of the shard's telemetry lane (plus the container count
+/// from placement), never a round trip to its worker.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardReport {
     /// Shard index within the host.
@@ -145,12 +141,11 @@ pub struct ShardReport {
     /// ([`fc_core::engine::HookReport::cycles`]) — the preemption-free
     /// busy measure behind capacity metrics.
     pub sim_cycles: u64,
-    /// Per-hook share of `sim_cycles` owned by this shard's **current
-    /// hook registrations** — the signal the rebalancer picks hot
-    /// hooks by. When a hook migrates here, the cycles it accrued on
-    /// its previous shard ride along (`Command::RegisterHook`'s seed),
-    /// so summing a hook's entries across shards is monotone over
-    /// moves; an unregistered hook's entry is pruned.
+    /// Simulated cycles of the hooks this shard **currently owns** —
+    /// the signal the rebalancer picks hot hooks by, sorted by hook.
+    /// A hook's entry sums its cycles over every shard it ever ran on,
+    /// so it is monotone across migrations; an unregistered hook has no
+    /// entry, and its cycles are cleared when it is removed.
     pub hook_cycles: Vec<(Uuid, u64)>,
 }
 
@@ -226,7 +221,6 @@ pub(crate) fn spawn_shard(
     flavor: EngineFlavor,
     env: Arc<HostEnv>,
     inbox: SharedInbox,
-    stats: Arc<HostStats>,
     outstanding: Arc<OutstandingGauge>,
     telemetry: Arc<MetricsRegistry>,
     params: ShardParams,
@@ -241,7 +235,6 @@ pub(crate) fn spawn_shard(
                 index,
                 engine,
                 inbox,
-                stats,
                 outstanding,
                 telemetry,
                 params,
@@ -251,29 +244,18 @@ pub(crate) fn spawn_shard(
         .expect("spawn shard worker")
 }
 
-#[allow(clippy::too_many_arguments)] // internal wiring call, one site
 fn run_shard(
     index: usize,
     mut engine: HostingEngine,
     inbox: SharedInbox,
-    stats: Arc<HostStats>,
     outstanding: Arc<OutstandingGauge>,
     telemetry: Arc<MetricsRegistry>,
     params: ShardParams,
     journal: Option<Arc<Journal>>,
 ) {
     let (lock, cvar) = &*inbox;
-    let mut events_done = 0u64;
-    let mut busy_ns = 0u64;
-    let mut sim_cycles = 0u64;
-    // Per-hook share of sim_cycles accrued on this shard (rebalancer
-    // signal).
-    let mut hook_cycles: std::collections::BTreeMap<Uuid, u64> = std::collections::BTreeMap::new();
     // Instruction costs of the last batch, post-paid to the DRR state.
     let mut charges: Vec<(Uuid, u64)> = Vec::new();
-    // Per-tenant costs of the current batch, flushed to the shared
-    // stats map in one lock acquisition per batch (not per event).
-    let mut tenant_charges: Vec<(fc_kvstore::TenantId, u64)> = Vec::new();
 
     loop {
         let (commands, batch) = {
@@ -295,15 +277,7 @@ fn run_shard(
         };
 
         for command in commands {
-            handle_command(
-                index,
-                &mut engine,
-                command,
-                events_done,
-                busy_ns,
-                sim_cycles,
-                &mut hook_cycles,
-            );
+            handle_command(index, &mut engine, &telemetry, command);
         }
 
         let batch_len = batch.len();
@@ -342,26 +316,27 @@ fn run_shard(
             } else {
                 Vec::new()
             };
-            busy_ns += started.elapsed().as_nanos() as u64;
-            events_done += 1;
+            let busy_ns = started.elapsed().as_nanos() as u64;
             let latency_ns = event.enqueued_at.elapsed().as_nanos() as u64;
 
             match outcome {
                 Ok(result) => {
                     let mut insns = 0u64;
                     let mut faults = 0u64;
+                    let mut cycles = 0u64;
                     let mut executions = 0u64;
                     let mut event_charges: Vec<(fc_kvstore::TenantId, u64)> = Vec::new();
                     if let Ok(report) = &result {
-                        sim_cycles += report.cycles;
-                        *hook_cycles.entry(event.hook).or_insert(0) += report.cycles;
+                        cycles = report.cycles;
                         executions = report.executions.len() as u64;
                         for exec in &report.executions {
                             let cost = exec.counts.total();
                             insns += cost;
                             faults += exec.result.is_err() as u64;
                             if let Some(slot) = engine.container(exec.container) {
-                                event_charges.push((slot.tenant, cost));
+                                if journal.is_some() {
+                                    event_charges.push((slot.tenant, cost));
+                                }
                                 telemetry.record_tenant_execution(
                                     index,
                                     slot.tenant,
@@ -373,8 +348,17 @@ fn run_shard(
                     }
                     // An empty hook still consumed a scheduling slot.
                     charges.push((event.hook, insns.max(1)));
-                    stats.record_dispatch(latency_ns, insns, faults);
-                    telemetry.record_dispatch(index, &event.hook, latency_ns);
+                    telemetry.record_dispatch(
+                        index,
+                        &event.hook,
+                        DispatchRecord {
+                            latency_ns,
+                            busy_ns,
+                            insns,
+                            faults,
+                            cycles,
+                        },
+                    );
                     telemetry.trace_hook(
                         engine.env().now_us(),
                         TraceKind::Exec,
@@ -394,7 +378,7 @@ fn run_shard(
                             latency_ns,
                             insns,
                             faults,
-                            charges: event_charges.clone(),
+                            charges: event_charges,
                             writes,
                             outcome: match &result {
                                 Ok(report) => Ok(report.clone()),
@@ -403,7 +387,6 @@ fn run_shard(
                         }),
                         None => true,
                     };
-                    tenant_charges.extend(event_charges);
                     if let Some(reply) = event.reply {
                         if alive {
                             telemetry.trace_hook(
@@ -423,34 +406,34 @@ fn run_shard(
                     // state is suspect and its captured writes are
                     // discarded with it.
                     charges.push((event.hook, 1));
-                    stats.record_dispatch(latency_ns, 0, 1);
-                    telemetry.record_dispatch(index, &event.hook, latency_ns);
+                    telemetry.record_dispatch(
+                        index,
+                        &event.hook,
+                        DispatchRecord {
+                            latency_ns,
+                            busy_ns,
+                            faults: 1,
+                            ..DispatchRecord::default()
+                        },
+                    );
                     // The reply sender drops without a send; a
                     // fire_sync caller observes HostError::Shed.
                 }
             }
         }
-        // Flush the batch's tenant stats (one lock for the whole
-        // batch) before releasing the events' outstanding slots, so a
-        // caller returning from quiesce() sees every completed event's
-        // statistics.
-        stats.record_tenants(&tenant_charges);
-        tenant_charges.clear();
+        // Every event above is already in the lane, so a caller
+        // returning from quiesce() sees its whole ledger.
         for _ in 0..batch_len {
             outstanding.sub();
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)] // internal wiring call, one site
 fn handle_command(
     index: usize,
     engine: &mut HostingEngine,
+    telemetry: &MetricsRegistry,
     command: Command,
-    events: u64,
-    busy_ns: u64,
-    sim_cycles: u64,
-    hook_cycles: &mut std::collections::BTreeMap<Uuid, u64>,
 ) {
     match command {
         Command::Install {
@@ -502,14 +485,7 @@ fn handle_command(
         } => {
             let _ = reply.send(engine.execute(id, &ctx, &extra));
         }
-        Command::RegisterHook {
-            hook,
-            offer,
-            seed_cycles,
-        } => {
-            if seed_cycles > 0 {
-                *hook_cycles.entry(hook.id).or_insert(0) += seed_cycles;
-            }
+        Command::RegisterHook { hook, offer } => {
             engine.register_hook(hook, offer);
         }
         Command::UnregisterHook { hook, reply } => {
@@ -517,25 +493,14 @@ fn handle_command(
                 .unregister_hook(hook)
                 .map(|(_, attached)| attached)
                 .unwrap_or_default();
-            // Prune the departed hook's cycle entry: it either travels
-            // to the shard the hook migrates to (the reply carries it)
-            // or, on removal, must not leak a stale baseline onto a
-            // future reuse of the UUID.
-            let cycles = hook_cycles.remove(&hook).unwrap_or(0);
-            let _ = reply.send((attached, cycles));
+            let _ = reply.send(attached);
+        }
+        Command::ClearHookCycles { hook, done } => {
+            telemetry.clear_hook_cycles(index, &hook);
+            let _ = done.send(());
         }
         Command::SetExecConfig { config } => {
             engine.set_exec_config(config);
-        }
-        Command::Report { reply } => {
-            let _ = reply.send(ShardReport {
-                shard: index,
-                containers: engine.container_count(),
-                events,
-                busy_ns,
-                sim_cycles,
-                hook_cycles: hook_cycles.iter().map(|(h, c)| (*h, *c)).collect(),
-            });
         }
     }
 }

@@ -1,13 +1,21 @@
-//! Runtime observability plane: a lock-free [`MetricsRegistry`] the
-//! hot paths record into, a bounded [`TraceRing`] of virtual-clock
-//! stamped events for post-mortems, and a [`MetricsSnapshot`] with a
-//! lossless binary encoding that fleets scrape over the wire and merge
-//! (histogram add, counter sum, gauge max) into one view.
+//! Runtime observability plane and the host's single dispatch ledger:
+//! a lock-free [`MetricsRegistry`] the hot paths record into, a
+//! bounded [`TraceRing`] of virtual-clock stamped events for
+//! post-mortems, and a [`MetricsSnapshot`] with a lossless binary
+//! encoding that fleets scrape over the wire and merge (histogram add,
+//! counter sum, gauge max) into one view.
+//!
+//! The registry's per-worker lanes are the **only** record of what the
+//! shards executed: dispatched events, faults, instructions, busy
+//! time, simulated cycles, the latency histogram, per-hook dispatches
+//! and cycles, per-tenant executions and instructions. Every other
+//! accounting surface — [`crate::ShardReport`], the rebalancer's
+//! window, `NodeStats`, `/metrics` — is a read over those lanes.
 //!
 //! Design constraints, in force on every API here:
 //!
 //! - **Zero allocation and no new locks on the dispatch path.** All
-//!   registry storage (keyed slot tables, shard slots, the trace ring)
+//!   registry storage (keyed slot tables, shard lanes, the trace ring)
 //!   is preallocated at construction. The dispatch-path tables are
 //!   striped into one private lane per shard worker, so recording is
 //!   an open-addressed probe plus plain relaxed load+store bumps — no
@@ -19,8 +27,11 @@
 //!   touches telemetry-private atomics, so per-event reports and
 //!   virtual timestamps are bit-identical with telemetry on or off
 //!   (pinned by the differential suites).
-//! - **Bounded memory.** The keyed tables and trace ring have fixed
-//!   capacities; overflow is counted, never allocated around.
+//! - **Bounded memory.** The keyed tables (per lane: 256 hook rows and
+//!   128 tenant rows) and the trace ring have fixed capacities;
+//!   overflow is counted in [`CounterId::KeyedOverflow`], never
+//!   allocated around. A lane's shard totals do not depend on the
+//!   tables, so an overflow loses only that key's row.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -29,21 +40,27 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use fc_kvstore::TenantId;
 use fc_suit::Uuid;
 
-use crate::stats::{quantile_from_buckets, LatencyHistogram, BUCKETS};
+use crate::journal::CounterSeeds;
+use crate::shard::ShardReport;
 
-/// Open-addressed slots for per-hook metrics (power of two).
+/// Open-addressed slots for per-hook ledger rows in each lane (power
+/// of two). A hook dispatched on a lane whose table is full keeps
+/// counting in the lane totals but gets no row there.
 const HOOK_TABLE: usize = 256;
-/// Open-addressed slots for per-tenant metrics (power of two).
+/// Open-addressed slots for per-tenant ledger rows in each lane (power
+/// of two), with the same overflow rule as [`HOOK_TABLE`].
 const TENANT_TABLE: usize = 128;
 
 /// Tuning knobs for a host's telemetry plane, carried inside
 /// [`crate::HostConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
-    /// Master switch. When `false` the registry still exists (so the
-    /// `/metrics` resource and counter sections keep working off the
-    /// [`crate::HostStats`] ledgers) but keyed recording and tracing
-    /// become no-ops with zero storage.
+    /// Switch for the observability extras. The dispatch ledger in the
+    /// per-worker lanes (counters, the overall latency histogram,
+    /// per-hook and per-tenant rows) is always kept — it is the host's
+    /// only accounting. When `false`, the per-key latency histograms,
+    /// the per-hook shed table and the trace ring record nothing and
+    /// allocate no storage.
     pub enabled: bool,
     /// Trace ring capacity in events; the ring overwrites its oldest
     /// entry once full and counts what it dropped.
@@ -55,6 +72,122 @@ impl Default for TelemetryConfig {
         TelemetryConfig {
             enabled: true,
             trace_capacity: 1024,
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Latency histogram
+// ---------------------------------------------------------------------------
+
+/// Number of power-of-two latency buckets (covers 1 ns … ~584 years).
+pub(crate) const BUCKETS: usize = 64;
+
+/// The one bucket rule every histogram here uses: bucket `i` covers
+/// `[2^i, 2^(i+1))` ns (0 ns lands in bucket 0).
+pub(crate) fn bucket_of(ns: u64) -> usize {
+    (63 - ns.max(1).leading_zeros()) as usize
+}
+
+/// Interpolated quantile over a frozen bucket array (shared by
+/// [`LatencyHistogram`] and [`HistogramSnapshot`]). The returned value
+/// places the requested rank linearly within its bucket instead of
+/// reporting the bucket upper bound, which overstated p50/p99 by up to
+/// 2x at coarse buckets.
+fn quantile_from_buckets(buckets: &[u64; BUCKETS], q: f64) -> u64 {
+    let total: u64 = buckets.iter().sum();
+    if total == 0 {
+        return 0;
+    }
+    let rank = ((total as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
+    let mut seen = 0u64;
+    for (i, &b) in buckets.iter().enumerate() {
+        if b == 0 {
+            continue;
+        }
+        if seen + b >= rank {
+            let lo = 1u64 << i;
+            let hi = 1u64 << (i + 1).min(63);
+            let within = (rank - seen) as f64 / b as f64;
+            return lo + (within * (hi - lo) as f64).round() as u64;
+        }
+        seen += b;
+    }
+    u64::MAX
+}
+
+/// A lock-free histogram over power-of-two nanosecond buckets, precise
+/// enough for p50/p99 dispatch-latency reporting without allocating or
+/// locking on the record path.
+#[derive(Debug)]
+pub struct LatencyHistogram {
+    buckets: Box<[AtomicU64; BUCKETS]>,
+}
+
+impl Default for LatencyHistogram {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl LatencyHistogram {
+    /// Creates an empty histogram.
+    pub fn new() -> Self {
+        LatencyHistogram {
+            buckets: Box::new([(); BUCKETS].map(|_| AtomicU64::new(0))),
+        }
+    }
+
+    /// Records one latency sample.
+    pub fn record(&self, ns: u64) {
+        self.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one latency sample into a histogram with a single
+    /// writer: a plain load+store bump instead of a locked
+    /// read-modify-write. Callers must guarantee no concurrent
+    /// `record` on the same histogram — concurrent *readers* are fine
+    /// and observe each sample exactly once or not yet.
+    pub fn record_single_writer(&self, ns: u64) {
+        bump(&self.buckets[bucket_of(ns)], 1);
+    }
+
+    /// Total recorded samples.
+    pub fn count(&self) -> u64 {
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
+    }
+
+    /// Freezes the bucket counts into a plain array (one relaxed load
+    /// per bucket; a racing `record` may or may not be included).
+    pub fn load(&self) -> [u64; BUCKETS] {
+        let mut out = [0u64; BUCKETS];
+        for (o, b) in out.iter_mut().zip(self.buckets.iter()) {
+            *o = b.load(Ordering::Relaxed);
+        }
+        out
+    }
+
+    /// The `q`-quantile (`q` in `0.0..=1.0`) in nanoseconds, linearly
+    /// interpolated within the power-of-two bucket that contains the
+    /// requested rank; `0` when empty.
+    pub fn quantile_ns(&self, q: f64) -> u64 {
+        quantile_from_buckets(&self.load(), q)
+    }
+
+    /// Adds every bucket of `other` into `self`. Quantiles of the
+    /// merged histogram are exactly those of the concatenated sample
+    /// streams (bucketing loses no cross-histogram information).
+    pub fn merge(&self, other: &LatencyHistogram) {
+        self.absorb(&other.load());
+    }
+
+    /// Adds a frozen bucket array into `self` — how a restored node
+    /// seeds its histogram from journal-recovered counter state.
+    pub fn absorb(&self, buckets: &[u64; BUCKETS]) {
+        for (dst, &n) in self.buckets.iter().zip(buckets.iter()) {
+            if n != 0 {
+                dst.fetch_add(n, Ordering::Relaxed);
+            }
         }
     }
 }
@@ -327,9 +460,12 @@ struct KeySlot {
     k1: AtomicU64,
     /// Primary count: dispatched events (hooks) / executions (tenants).
     events: AtomicU64,
-    /// Secondary count: shed events (hooks) / retired insns (tenants).
+    /// Secondary count: simulated cycles (lane hook rows) / retired
+    /// insns (tenants) / shed events (the shared shed table).
     extra: AtomicU64,
-    latency: LatencyHistogram,
+    /// Per-key latency — one of the telemetry extras, absent when the
+    /// registry is disabled.
+    latency: Option<LatencyHistogram>,
 }
 
 /// Fixed-capacity open-addressed table mapping a 128-bit key to a
@@ -342,7 +478,7 @@ struct KeyTable {
 }
 
 impl KeyTable {
-    fn new(capacity: usize) -> Self {
+    fn new(capacity: usize, with_latency: bool) -> Self {
         debug_assert!(capacity.is_power_of_two());
         KeyTable {
             slots: (0..capacity)
@@ -352,14 +488,25 @@ impl KeyTable {
                     k1: AtomicU64::new(0),
                     events: AtomicU64::new(0),
                     extra: AtomicU64::new(0),
-                    latency: LatencyHistogram::new(),
+                    latency: with_latency.then(LatencyHistogram::new),
                 })
                 .collect(),
             overflow: AtomicU64::new(0),
         }
     }
 
+    /// The slot holding `(k0, k1)`, claimed on first touch.
     fn slot(&self, k0: u64, k1: u64) -> Option<&KeySlot> {
+        self.probe(k0, k1, true)
+    }
+
+    /// The slot holding `(k0, k1)` if the key was ever recorded; never
+    /// claims and never counts an overflow.
+    fn find(&self, k0: u64, k1: u64) -> Option<&KeySlot> {
+        self.probe(k0, k1, false)
+    }
+
+    fn probe(&self, k0: u64, k1: u64, claim: bool) -> Option<&KeySlot> {
         let mask = self.slots.len() - 1;
         let mut idx = ((k0 ^ k1).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask;
         for _ in 0..self.slots.len() {
@@ -373,6 +520,7 @@ impl KeyTable {
                         }
                         break; // other key lives here → next slot
                     }
+                    SLOT_EMPTY if !claim => return None,
                     SLOT_EMPTY => {
                         if s.state
                             .compare_exchange(
@@ -396,7 +544,9 @@ impl KeyTable {
             }
             idx = (idx + 1) & mask;
         }
-        self.overflow.fetch_add(1, Ordering::Relaxed);
+        if claim {
+            self.overflow.fetch_add(1, Ordering::Relaxed);
+        }
         None
     }
 
@@ -428,19 +578,31 @@ fn uuid_from_key(k0: u64, k1: u64) -> Uuid {
     Uuid(b)
 }
 
+fn tenant_key(tenant: TenantId) -> (u64, u64) {
+    (u64::from(tenant), u64::MAX)
+}
+
 // ---------------------------------------------------------------------------
 // Registry
 // ---------------------------------------------------------------------------
 
-/// One shard worker's private telemetry lane. Exactly one worker ever
+/// One shard worker's private ledger lane. Exactly one worker ever
 /// writes a lane, which is what lets every hot-path update be a plain
 /// relaxed load+store bump instead of a locked read-modify-write; the
 /// snapshot path merges lanes the same way the fleet tier merges
-/// per-node snapshots.
+/// per-node snapshots. Cache-line aligned so neighbouring workers'
+/// totals never share a line.
+#[repr(align(128))]
 struct Lane {
     dispatched: AtomicU64,
+    faults: AtomicU64,
+    insns: AtomicU64,
+    busy_ns: AtomicU64,
+    sim_cycles: AtomicU64,
     latency: LatencyHistogram,
+    /// Hook rows: `events` = dispatched, `extra` = simulated cycles.
     hooks: KeyTable,
+    /// Tenant rows: `events` = executions, `extra` = retired insns.
     tenants: KeyTable,
 }
 
@@ -451,16 +613,48 @@ fn bump(cell: &AtomicU64, n: u64) {
     cell.store(cell.load(Ordering::Relaxed) + n, Ordering::Relaxed);
 }
 
-/// The per-host telemetry registry: per-hook, per-tenant and per-shard
-/// latency histograms and counters, plus the [`TraceRing`]. All
-/// storage is preallocated; every record call is lock-free and
-/// allocation-free, and every call is a no-op when the registry was
-/// built disabled. The keyed dispatch-path storage is striped into one
-/// lane per shard worker so the hot path never executes a locked
-/// read-modify-write or shares a cacheline with another worker.
+/// What one completed event costs, as its shard worker records it
+/// with [`MetricsRegistry::record_dispatch`].
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct DispatchRecord {
+    /// Enqueue→completion latency in nanoseconds.
+    pub latency_ns: u64,
+    /// Wall-clock nanoseconds the worker spent executing the event.
+    pub busy_ns: u64,
+    /// VM instructions retired.
+    pub insns: u64,
+    /// Container executions that faulted.
+    pub faults: u64,
+    /// Simulated platform cycles ([`fc_core::engine::HookReport::cycles`]).
+    pub cycles: u64,
+}
+
+/// Counters bumped by producer threads (fires, lifecycle, deploys)
+/// rather than by shard workers; they share one atomic home in the
+/// registry. Everything the workers count lives in their lanes.
+const PRODUCER_COUNTERS: [CounterId; 8] = [
+    CounterId::Enqueued,
+    CounterId::Shed,
+    CounterId::Displaced,
+    CounterId::Batches,
+    CounterId::Migrations,
+    CounterId::Deploys,
+    CounterId::DeploysRateLimited,
+    CounterId::InbandObservations,
+];
+
+/// The per-host registry: the per-worker ledger lanes, the shared
+/// producer-side counters, and the telemetry extras (per-key latency
+/// histograms, the shed table, the [`TraceRing`]). All storage is
+/// preallocated; every record call is lock-free and allocation-free.
+/// A disabled registry keeps the full ledger and turns only the extras
+/// into no-ops.
 pub struct MetricsRegistry {
     enabled: bool,
     lanes: Box<[Lane]>,
+    /// Producer-side counters, indexed by [`CounterId`] (only the
+    /// [`PRODUCER_COUNTERS`] entries are ever bumped).
+    counters: [AtomicU64; NUM_COUNTERS],
     /// Shed events are recorded from producer threads (any number of
     /// them), so they live in one shared hook-keyed table with atomic
     /// updates — shedding is the rare path.
@@ -480,98 +674,171 @@ impl fmt::Debug for MetricsRegistry {
 
 impl MetricsRegistry {
     /// Builds a registry for `shards` shard workers. A disabled config
-    /// allocates no keyed or trace storage.
+    /// allocates the ledger lanes but no per-key latency, shed-table or
+    /// trace storage.
     pub fn new(config: TelemetryConfig, shards: usize) -> Self {
-        let (lanes, hook_cap, tenant_cap, trace_cap) = if config.enabled {
-            (shards, HOOK_TABLE, TENANT_TABLE, config.trace_capacity)
-        } else {
-            (0, 1, 1, 0)
-        };
+        let enabled = config.enabled;
         MetricsRegistry {
-            enabled: config.enabled,
-            lanes: (0..lanes)
+            enabled,
+            lanes: (0..shards)
                 .map(|_| Lane {
                     dispatched: AtomicU64::new(0),
+                    faults: AtomicU64::new(0),
+                    insns: AtomicU64::new(0),
+                    busy_ns: AtomicU64::new(0),
+                    sim_cycles: AtomicU64::new(0),
                     latency: LatencyHistogram::new(),
-                    hooks: KeyTable::new(hook_cap),
-                    tenants: KeyTable::new(tenant_cap),
+                    hooks: KeyTable::new(HOOK_TABLE, enabled),
+                    tenants: KeyTable::new(TENANT_TABLE, enabled),
                 })
                 .collect(),
-            shed: KeyTable::new(hook_cap),
-            trace: TraceRing::new(trace_cap),
+            counters: [(); NUM_COUNTERS].map(|_| AtomicU64::new(0)),
+            shed: KeyTable::new(if enabled { HOOK_TABLE } else { 1 }, false),
+            trace: TraceRing::new(if enabled { config.trace_capacity } else { 0 }),
         }
     }
 
-    /// Whether recording is live.
+    /// Whether the telemetry extras are recording.
     pub fn enabled(&self) -> bool {
         self.enabled
     }
 
-    /// Records one completed event dispatch into the worker's lane:
-    /// the per-shard totals and the per-hook slot. Must only be called
-    /// by the lane's own shard worker — the single-writer invariant is
-    /// what keeps this path free of locked read-modify-writes. A
-    /// disabled registry has no lanes, so the call degrades to a bounds
-    /// check.
-    pub fn record_dispatch(&self, shard: usize, hook: &Uuid, latency_ns: u64) {
-        let Some(lane) = self.lanes.get(shard) else {
-            return;
-        };
+    /// Records one completed event into the worker's lane: the shard
+    /// totals, the overall latency histogram and the hook's row. Must
+    /// only be called by the lane's own shard worker — the
+    /// single-writer invariant is what keeps this path free of locked
+    /// read-modify-writes.
+    pub(crate) fn record_dispatch(&self, shard: usize, hook: &Uuid, d: DispatchRecord) {
+        let lane = &self.lanes[shard];
         bump(&lane.dispatched, 1);
-        lane.latency.record_single_writer(latency_ns);
+        bump(&lane.faults, d.faults);
+        bump(&lane.insns, d.insns);
+        bump(&lane.busy_ns, d.busy_ns);
+        bump(&lane.sim_cycles, d.cycles);
+        lane.latency.record_single_writer(d.latency_ns);
         let (k0, k1) = uuid_key(hook);
         if let Some(slot) = lane.hooks.slot(k0, k1) {
             bump(&slot.events, 1);
-            slot.latency.record_single_writer(latency_ns);
+            bump(&slot.extra, d.cycles);
+            if let Some(latency) = &slot.latency {
+                latency.record_single_writer(d.latency_ns);
+            }
         }
     }
 
     /// Records one container execution on a tenant's behalf, into the
     /// calling worker's lane (same single-writer contract as
     /// [`MetricsRegistry::record_dispatch`]).
-    pub fn record_tenant_execution(
+    pub(crate) fn record_tenant_execution(
         &self,
         shard: usize,
         tenant: TenantId,
         insns: u64,
         latency_ns: u64,
     ) {
-        let Some(lane) = self.lanes.get(shard) else {
-            return;
-        };
-        if let Some(slot) = lane.tenants.slot(u64::from(tenant), u64::MAX) {
+        let (k0, k1) = tenant_key(tenant);
+        if let Some(slot) = self.lanes[shard].tenants.slot(k0, k1) {
             bump(&slot.events, 1);
             bump(&slot.extra, insns);
-            slot.latency.record_single_writer(latency_ns);
+            if let Some(latency) = &slot.latency {
+                latency.record_single_writer(latency_ns);
+            }
         }
     }
 
-    /// Seeds a hook's lane totals from journal-recovered state — how a
-    /// restored node's telemetry continues from the crashed node's
-    /// counts instead of re-counting replayed commits. Only safe while
-    /// the lane's shard worker is idle (restore runs before any event
-    /// is offered), which upholds the single-writer contract.
-    pub fn seed_hook(&self, shard: usize, hook: &Uuid, dispatched: u64) {
-        let Some(lane) = self.lanes.get(shard) else {
-            return;
-        };
-        bump(&lane.dispatched, dispatched);
+    /// Zeroes `hook`'s simulated-cycle count in the worker's own lane —
+    /// how a removed hook stops feeding the rebalancer, so a later
+    /// reuse of its UUID starts from a clean window. Dispatch counts
+    /// stay. Same single-writer contract as
+    /// [`MetricsRegistry::record_dispatch`].
+    pub(crate) fn clear_hook_cycles(&self, shard: usize, hook: &Uuid) {
         let (k0, k1) = uuid_key(hook);
-        if let Some(slot) = lane.hooks.slot(k0, k1) {
-            bump(&slot.events, dispatched);
+        if let Some(slot) = self.lanes[shard].hooks.find(k0, k1) {
+            slot.extra.store(0, Ordering::Relaxed);
         }
     }
 
-    /// Seeds a tenant's lane totals from journal-recovered state (same
-    /// restore-time-only contract as [`MetricsRegistry::seed_hook`]).
-    pub fn seed_tenant(&self, shard: usize, tenant: TenantId, executions: u64, insns: u64) {
-        let Some(lane) = self.lanes.get(shard) else {
-            return;
-        };
-        if let Some(slot) = lane.tenants.slot(u64::from(tenant), u64::MAX) {
-            bump(&slot.events, executions);
-            bump(&slot.extra, insns);
+    /// Adds `n` to a producer-side counter (one of the counters the
+    /// shard workers do not own). Callable from any thread.
+    pub(crate) fn count(&self, id: CounterId, n: u64) {
+        debug_assert!(PRODUCER_COUNTERS.contains(&id), "{id:?} lives in the lanes");
+        self.counters[id as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Seeds the ledger from journal-recovered counter state — the one
+    /// place a restored node's counts continue from the crashed node's
+    /// instead of re-counting replayed commits. Per-hook dispatches go
+    /// to the lane of `shard_of(hook)`; the aggregate faults,
+    /// instructions, latency and tenant rows go to lane 0. Only safe
+    /// while every shard worker is idle (restore runs before any event
+    /// is offered), which upholds the single-writer contract.
+    pub(crate) fn seed(&self, seeds: &CounterSeeds, shard_of: impl Fn(&Uuid) -> usize) {
+        self.count(CounterId::Enqueued, seeds.enqueued);
+        self.count(CounterId::Deploys, seeds.deploys);
+        let lane0 = &self.lanes[0];
+        bump(&lane0.faults, seeds.faults);
+        bump(&lane0.insns, seeds.insns);
+        lane0.latency.absorb(&seeds.latency.0);
+        for (hook, dispatched) in &seeds.hooks {
+            let lane = &self.lanes[shard_of(hook)];
+            bump(&lane.dispatched, *dispatched);
+            let (k0, k1) = uuid_key(hook);
+            if let Some(slot) = lane.hooks.slot(k0, k1) {
+                bump(&slot.events, *dispatched);
+            }
         }
+        for &(tenant, executions, insns) in &seeds.tenants {
+            let (k0, k1) = tenant_key(tenant);
+            if let Some(slot) = lane0.tenants.slot(k0, k1) {
+                bump(&slot.events, executions);
+                bump(&slot.extra, insns);
+            }
+        }
+    }
+
+    /// Events dispatched so far, summed over lanes.
+    pub fn dispatched(&self) -> u64 {
+        self.lanes
+            .iter()
+            .map(|lane| lane.dispatched.load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// One [`ShardReport`] per lane. A hook's cycles are its rows
+    /// summed over every lane it ever ran on, listed under the shard
+    /// `owner` names for it now; hooks `owner` does not know (departed
+    /// ones) and hooks with no cycles are left out. `containers` is
+    /// the caller's to fill — placement, not the ledger, knows it.
+    pub(crate) fn shard_reports(&self, owner: impl Fn(&Uuid) -> Option<usize>) -> Vec<ShardReport> {
+        let mut hook_cycles: BTreeMap<Uuid, u64> = BTreeMap::new();
+        for lane in self.lanes.iter() {
+            lane.hooks.for_each_ready(|k0, k1, s| {
+                *hook_cycles.entry(uuid_from_key(k0, k1)).or_insert(0) +=
+                    s.extra.load(Ordering::Relaxed);
+            });
+        }
+        let mut reports: Vec<ShardReport> = self
+            .lanes
+            .iter()
+            .enumerate()
+            .map(|(shard, lane)| ShardReport {
+                shard,
+                containers: 0,
+                events: lane.dispatched.load(Ordering::Relaxed),
+                busy_ns: lane.busy_ns.load(Ordering::Relaxed),
+                sim_cycles: lane.sim_cycles.load(Ordering::Relaxed),
+                hook_cycles: Vec::new(),
+            })
+            .collect();
+        for (hook, cycles) in hook_cycles {
+            if cycles == 0 {
+                continue;
+            }
+            if let Some(report) = owner(&hook).and_then(|s| reports.get_mut(s)) {
+                report.hook_cycles.push((hook, cycles));
+            }
+        }
+        reports
     }
 
     /// Records `n` events shed for a hook. Callable from any thread:
@@ -626,72 +893,77 @@ impl MetricsRegistry {
             + self.shed.overflow.load(Ordering::Relaxed)
     }
 
-    /// Copies the keyed sections (hooks, tenants, per-shard dispatch
-    /// counts and histograms) plus the registry's own health counters
-    /// into `snap`, merging the per-worker lanes into one row per key
-    /// — counter sums and histogram bucket adds, the same semantics
-    /// the fleet tier applies across nodes. The caller fills the
-    /// ledger counters, gauges, and per-shard queue depth / busy
-    /// cycles it owns.
+    /// Copies the whole ledger into `snap`: the producer-side
+    /// counters, the lane-summed dispatched/faults/insns counters and
+    /// overall latency, one row per hook, tenant and shard (merging the
+    /// per-worker lanes into one row per key — counter sums and
+    /// histogram bucket adds, the same semantics the fleet tier
+    /// applies across nodes), plus the registry's own health counters.
+    /// The caller fills the journal counters, gauges and per-shard
+    /// queue depth it owns.
     pub fn fill_snapshot(&self, snap: &mut MetricsSnapshot) {
+        for id in PRODUCER_COUNTERS {
+            snap.set_counter(id, self.counters[id as usize].load(Ordering::Relaxed));
+        }
         let mut hooks: BTreeMap<[u8; 16], HookMetrics> = BTreeMap::new();
-        for lane in self.lanes.iter() {
+        let mut tenants: BTreeMap<TenantId, TenantMetrics> = BTreeMap::new();
+        for (i, lane) in self.lanes.iter().enumerate() {
             lane.hooks.for_each_ready(|k0, k1, s| {
-                let id = uuid_from_key(k0, k1);
-                let row = hooks.entry(id.0).or_insert_with(|| HookMetrics {
-                    hook: id,
-                    dispatched: 0,
-                    shed: 0,
-                    latency: HistogramSnapshot::default(),
-                });
+                let row = hook_row(&mut hooks, k0, k1);
                 row.dispatched += s.events.load(Ordering::Relaxed);
-                row.latency.merge(&HistogramSnapshot(s.latency.load()));
+                if let Some(latency) = &s.latency {
+                    row.latency.merge(&HistogramSnapshot(latency.load()));
+                }
+            });
+            lane.tenants.for_each_ready(|k0, _, s| {
+                let tenant = k0 as TenantId;
+                let row = tenants.entry(tenant).or_insert_with(|| TenantMetrics {
+                    tenant,
+                    ..TenantMetrics::default()
+                });
+                row.executions += s.events.load(Ordering::Relaxed);
+                row.insns += s.extra.load(Ordering::Relaxed);
+                if let Some(latency) = &s.latency {
+                    row.latency.merge(&HistogramSnapshot(latency.load()));
+                }
+            });
+            let dispatched = lane.dispatched.load(Ordering::Relaxed);
+            snap.add_counter(CounterId::Dispatched, dispatched);
+            snap.add_counter(CounterId::Faults, lane.faults.load(Ordering::Relaxed));
+            snap.add_counter(CounterId::Insns, lane.insns.load(Ordering::Relaxed));
+            let latency = HistogramSnapshot(lane.latency.load());
+            snap.latency.merge(&latency);
+            snap.shards.push(ShardMetrics {
+                node: 0,
+                shard: i as u32,
+                dispatched,
+                queue_depth: 0,
+                busy_cycles: lane.sim_cycles.load(Ordering::Relaxed),
+                latency,
             });
         }
         // A hook that only ever shed still gets a row.
         self.shed.for_each_ready(|k0, k1, s| {
-            let id = uuid_from_key(k0, k1);
-            let row = hooks.entry(id.0).or_insert_with(|| HookMetrics {
-                hook: id,
-                dispatched: 0,
-                shed: 0,
-                latency: HistogramSnapshot::default(),
-            });
-            row.shed += s.extra.load(Ordering::Relaxed);
+            hook_row(&mut hooks, k0, k1).shed += s.extra.load(Ordering::Relaxed);
         });
         // BTreeMap iteration over the raw uuid bytes is exactly the
         // sorted-by-key order the snapshot wire format requires.
         snap.hooks.extend(hooks.into_values());
-        let mut tenants: BTreeMap<TenantId, TenantMetrics> = BTreeMap::new();
-        for lane in self.lanes.iter() {
-            lane.tenants.for_each_ready(|k0, _, s| {
-                let row = tenants
-                    .entry(k0 as TenantId)
-                    .or_insert_with(|| TenantMetrics {
-                        tenant: k0 as TenantId,
-                        executions: 0,
-                        insns: 0,
-                        latency: HistogramSnapshot::default(),
-                    });
-                row.executions += s.events.load(Ordering::Relaxed);
-                row.insns += s.extra.load(Ordering::Relaxed);
-                row.latency.merge(&HistogramSnapshot(s.latency.load()));
-            });
-        }
         snap.tenants.extend(tenants.into_values());
-        for (i, lane) in self.lanes.iter().enumerate() {
-            snap.shards.push(ShardMetrics {
-                node: 0,
-                shard: i as u32,
-                dispatched: lane.dispatched.load(Ordering::Relaxed),
-                queue_depth: 0,
-                busy_cycles: 0,
-                latency: HistogramSnapshot(lane.latency.load()),
-            });
-        }
         snap.set_counter(CounterId::TraceDropped, self.trace_dropped());
         snap.set_counter(CounterId::KeyedOverflow, self.keyed_overflow());
     }
+}
+
+/// The snapshot row for hook `(k0, k1)`, created empty on first use.
+fn hook_row(hooks: &mut BTreeMap<[u8; 16], HookMetrics>, k0: u64, k1: u64) -> &mut HookMetrics {
+    let id = uuid_from_key(k0, k1);
+    hooks.entry(id.0).or_insert_with(|| HookMetrics {
+        hook: id,
+        dispatched: 0,
+        shed: 0,
+        latency: HistogramSnapshot::default(),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -869,6 +1141,12 @@ impl HistogramSnapshot {
         quantile_from_buckets(&self.0, q)
     }
 
+    /// Counts one sample, bucketed by the same rule as
+    /// [`LatencyHistogram`].
+    pub(crate) fn record(&mut self, ns: u64) {
+        self.0[bucket_of(ns)] += 1;
+    }
+
     /// Bucket-wise addition — the fleet histogram-merge primitive.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
         for (dst, src) in self.0.iter_mut().zip(other.0.iter()) {
@@ -1038,6 +1316,25 @@ impl MetricsSnapshot {
     pub fn gauge_max(&mut self, id: GaugeId, v: u64) {
         let g = &mut self.gauges[id as usize];
         *g = (*g).max(v);
+    }
+
+    /// Events offered so far: accepted ones plus those rejected at the
+    /// queue. Displaced events are excluded — they were already
+    /// counted when accepted.
+    pub fn offered(&self) -> u64 {
+        let rejected = self
+            .counter(CounterId::Shed)
+            .saturating_sub(self.counter(CounterId::Displaced));
+        self.counter(CounterId::Enqueued) + rejected
+    }
+
+    /// Shed fraction over everything offered so far (correct under
+    /// both shed policies).
+    pub fn shed_rate(&self) -> f64 {
+        match self.offered() {
+            0 => 0.0,
+            offered => self.counter(CounterId::Shed) as f64 / offered as f64,
+        }
     }
 
     /// Looks up one tenant's section.
@@ -1332,6 +1629,14 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    fn dispatch(latency_ns: u64, cycles: u64) -> DispatchRecord {
+        DispatchRecord {
+            latency_ns,
+            cycles,
+            ..DispatchRecord::default()
+        }
+    }
+
     fn sample_snapshot() -> MetricsSnapshot {
         let mut snap = MetricsSnapshot {
             nodes: 1,
@@ -1439,9 +1744,9 @@ mod tests {
         let reg = MetricsRegistry::new(TelemetryConfig::default(), 2);
         let hook_a = Uuid([1u8; 16]);
         let hook_b = Uuid([2u8; 16]);
-        reg.record_dispatch(0, &hook_a, 1_000);
-        reg.record_dispatch(1, &hook_a, 2_000);
-        reg.record_dispatch(1, &hook_b, 4_000);
+        reg.record_dispatch(0, &hook_a, dispatch(1_000, 10));
+        reg.record_dispatch(1, &hook_a, dispatch(2_000, 20));
+        reg.record_dispatch(1, &hook_b, dispatch(4_000, 40));
         reg.record_shed(&hook_b, 3);
         reg.record_tenant_execution(0, 7, 128, 1_000);
         reg.record_tenant_execution(1, 7, 128, 2_000);
@@ -1459,7 +1764,14 @@ mod tests {
         assert_eq!(snap.shards.len(), 2);
         assert_eq!(snap.shards[0].dispatched, 1);
         assert_eq!(snap.shards[1].dispatched, 2);
+        assert_eq!(snap.shards[1].busy_cycles, 60);
+        assert_eq!(snap.counter(CounterId::Dispatched), 3);
+        assert_eq!(snap.latency.count(), 3);
         assert_eq!(snap.counter(CounterId::KeyedOverflow), 0);
+        // Hook cycles sum over lanes, under the hook's current owner.
+        let reports = reg.shard_reports(|h| (*h == hook_a).then_some(0));
+        assert_eq!(reports[0].hook_cycles, vec![(hook_a, 30)]);
+        assert!(reports[1].hook_cycles.is_empty(), "hook b has no owner");
     }
 
     #[test]
@@ -1473,7 +1785,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for i in 0..1_000usize {
                         let hook = &hooks[(i + t) % hooks.len()];
-                        reg.record_dispatch(t, hook, (i as u64 + 1) * 10);
+                        reg.record_dispatch(t, hook, dispatch((i as u64 + 1) * 10, 1));
                         reg.record_tenant_execution(t, (i % 8) as u32, 5, 100);
                     }
                 })
@@ -1496,22 +1808,42 @@ mod tests {
     }
 
     #[test]
-    fn disabled_registry_is_inert() {
-        let reg = MetricsRegistry::new(
-            TelemetryConfig {
-                enabled: false,
-                ..TelemetryConfig::default()
-            },
-            4,
-        );
-        assert!(!reg.enabled());
-        reg.record_dispatch(0, &Uuid([1u8; 16]), 1_000);
-        reg.trace(5, TraceKind::Enqueue, 1, 2);
-        let mut snap = MetricsSnapshot::default();
-        reg.fill_snapshot(&mut snap);
-        assert!(snap.hooks.is_empty());
-        assert!(snap.shards.is_empty());
-        assert!(reg.trace_events().is_empty());
+    fn disabled_registry_keeps_the_ledger_and_drops_the_extras() {
+        let hook = Uuid([1u8; 16]);
+        let snapshot_of = |config| {
+            let reg = MetricsRegistry::new(config, 2);
+            reg.record_dispatch(1, &hook, dispatch(1_000, 7));
+            reg.record_tenant_execution(1, 3, 64, 1_000);
+            reg.record_shed(&hook, 2);
+            reg.trace(5, TraceKind::Enqueue, 1, 2);
+            let mut snap = MetricsSnapshot::default();
+            reg.fill_snapshot(&mut snap);
+            (snap, reg.trace_events().len())
+        };
+        let (on, on_trace) = snapshot_of(TelemetryConfig::default());
+        let (off, off_trace) = snapshot_of(off_config());
+        assert!(!MetricsRegistry::new(off_config(), 1).enabled());
+        // The ledger is identical either way.
+        assert_eq!(off.counters, on.counters);
+        assert_eq!(off.latency, on.latency);
+        assert_eq!(off.shards, on.shards);
+        assert_eq!(off.tenants[0].executions, 1);
+        assert_eq!(off.tenants[0].insns, 64);
+        assert_eq!(off.hooks[0].dispatched, 1);
+        // The extras are gone: per-key latency, sheds, trace.
+        assert_eq!(on.hooks[0].shed, 2);
+        assert_eq!(off.hooks[0].shed, 0);
+        assert_eq!(on.tenants[0].latency.count(), 1);
+        assert_eq!(off.tenants[0].latency.count(), 0);
+        assert_eq!(off.hooks[0].latency.count(), 0);
+        assert_eq!((on_trace, off_trace), (1, 0));
+    }
+
+    fn off_config() -> TelemetryConfig {
+        TelemetryConfig {
+            enabled: false,
+            ..TelemetryConfig::default()
+        }
     }
 
     #[test]
@@ -1542,5 +1874,144 @@ mod tests {
         assert!(text.contains("tenant 3 "), "{text}");
         assert!(text.contains("shard 0/1 "), "{text}");
         assert!(text.contains("p99_ns="), "{text}");
+    }
+
+    #[test]
+    fn clearing_hook_cycles_restarts_the_rebalancer_signal() {
+        let reg = MetricsRegistry::new(TelemetryConfig::default(), 2);
+        let hook = Uuid([9u8; 16]);
+        reg.record_dispatch(0, &hook, dispatch(100, 500));
+        reg.record_dispatch(1, &hook, dispatch(100, 300));
+        reg.clear_hook_cycles(0, &hook);
+        reg.clear_hook_cycles(1, &hook);
+        reg.clear_hook_cycles(1, &Uuid([8u8; 16])); // never recorded: no row claimed
+        assert!(reg.shard_reports(|_| Some(0))[0].hook_cycles.is_empty());
+        reg.record_dispatch(1, &hook, dispatch(100, 40));
+        assert_eq!(
+            reg.shard_reports(|_| Some(0))[0].hook_cycles,
+            vec![(hook, 40)]
+        );
+        let mut snap = MetricsSnapshot::default();
+        reg.fill_snapshot(&mut snap);
+        assert_eq!(snap.hooks.len(), 1);
+        assert_eq!(snap.hooks[0].dispatched, 3, "dispatch counts survive");
+    }
+
+    #[test]
+    fn histogram_quantiles_bracket_samples() {
+        let h = LatencyHistogram::new();
+        for ns in [100u64, 200, 400, 800, 100_000] {
+            h.record(ns);
+        }
+        assert_eq!(h.count(), 5);
+        let p50 = h.quantile_ns(0.5);
+        assert!((128..=512).contains(&p50), "p50 = {p50}");
+        let p99 = h.quantile_ns(0.99);
+        assert!(p99 >= 100_000, "p99 = {p99}");
+        assert!(h.quantile_ns(0.0) >= 64);
+    }
+
+    #[test]
+    fn empty_histogram_reports_zero() {
+        let h = LatencyHistogram::new();
+        assert_eq!(h.quantile_ns(0.5), 0);
+        assert_eq!(h.count(), 0);
+    }
+
+    #[test]
+    fn quantiles_interpolate_within_buckets() {
+        // 100 samples all in bucket [1024, 2048): ranks spread linearly
+        // across the bucket instead of every quantile reporting the
+        // 2048 upper bound.
+        let h = LatencyHistogram::new();
+        for _ in 0..100 {
+            h.record(1500);
+        }
+        let p25 = h.quantile_ns(0.25);
+        let p50 = h.quantile_ns(0.50);
+        let p99 = h.quantile_ns(0.99);
+        assert_eq!(p25, 1024 + 256, "rank 25/100 sits 1/4 into the bucket");
+        assert_eq!(p50, 1024 + 512, "rank 50/100 sits halfway");
+        assert_eq!(p99, 1024 + 1014, "p99 = {p99}");
+        assert!(p25 < p50 && p50 < p99, "quantiles monotone in q");
+        // Full-rank quantile reaches the bucket upper bound exactly.
+        assert_eq!(h.quantile_ns(1.0), 2048);
+    }
+
+    #[test]
+    fn quantiles_of_known_two_bucket_distribution() {
+        // 90 samples in [64,128), 10 in [65536,131072): p50 must stay
+        // inside the low bucket, and p95 must land inside the high
+        // bucket, not at its upper bound.
+        let h = LatencyHistogram::new();
+        for _ in 0..90 {
+            h.record(100);
+        }
+        for _ in 0..10 {
+            h.record(100_000);
+        }
+        let p50 = h.quantile_ns(0.50);
+        assert!((64..128).contains(&p50), "p50 = {p50}");
+        // rank 95 is the 5th of 10 samples in [65536,131072):
+        // 65536 + 5/10 * 65536 = 98304.
+        assert_eq!(h.quantile_ns(0.95), 98_304);
+    }
+
+    #[test]
+    fn merge_matches_concatenated_sample_stream() {
+        let a = LatencyHistogram::new();
+        let b = LatencyHistogram::new();
+        let both = LatencyHistogram::new();
+        for ns in [100u64, 300, 900, 2_700] {
+            a.record(ns);
+            both.record(ns);
+        }
+        for ns in [150u64, 450, 8_100, 24_300, 72_900] {
+            b.record(ns);
+            both.record(ns);
+        }
+        a.merge(&b);
+        assert_eq!(a.count(), 9);
+        assert_eq!(a.load(), both.load(), "merge is bucket-wise exact");
+        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
+            assert_eq!(a.quantile_ns(q), both.quantile_ns(q));
+        }
+    }
+
+    #[test]
+    fn snapshot_and_live_histograms_share_one_bucket_rule() {
+        let live = LatencyHistogram::new();
+        let mut frozen = HistogramSnapshot::default();
+        for ns in [0u64, 1, 2, 3, 1023, 1024, u64::MAX] {
+            live.record(ns);
+            frozen.record(ns);
+        }
+        assert_eq!(HistogramSnapshot(live.load()), frozen);
+    }
+
+    fn ledger(enqueued: u64, shed: u64, displaced: u64) -> MetricsSnapshot {
+        let mut snap = MetricsSnapshot::default();
+        snap.set_counter(CounterId::Enqueued, enqueued);
+        snap.set_counter(CounterId::Shed, shed);
+        snap.set_counter(CounterId::Displaced, displaced);
+        snap
+    }
+
+    #[test]
+    fn shed_rate_counts_offered_load() {
+        assert_eq!(MetricsSnapshot::default().shed_rate(), 0.0);
+        // DropNewest shape: 3 accepted, 1 rejected at the queue.
+        let s = ledger(3, 1, 0);
+        assert_eq!(s.offered(), 4);
+        assert!((s.shed_rate() - 0.25).abs() < 1e-9);
+    }
+
+    #[test]
+    fn shed_rate_does_not_double_count_displaced_events() {
+        // DropOldest shape: 100 offers, all accepted, 60 displaced
+        // after acceptance. True shed fraction is 60%, not 60/160.
+        let s = ledger(100, 60, 60);
+        assert_eq!(s.offered(), 100);
+        assert!((s.shed_rate() - 0.6).abs() < 1e-9);
     }
 }

@@ -137,7 +137,11 @@ impl FcProgram {
         let rodata = section(HEADER_SIZE + align(data_len), rodata_len)?;
         let text = section(HEADER_SIZE + align(data_len) + align(rodata_len), text_len)?;
         let mut cursor = HEADER_SIZE + align(data_len) + align(rodata_len) + align(text_len);
-        let mut symbols = Vec::with_capacity(n_syms);
+        // `n_syms` is untrusted: preallocate no more entries than the
+        // remaining bytes could hold (a symbol takes at least its
+        // 2-byte length and 4-byte offset), so a forged count fails as
+        // `Truncated` instead of aborting on a huge allocation.
+        let mut symbols = Vec::with_capacity(n_syms.min(bytes.len().saturating_sub(cursor) / 6));
         for _ in 0..n_syms {
             if cursor + 2 > bytes.len() {
                 return Err(ParseError::Truncated {
@@ -323,6 +327,16 @@ mod tests {
         let p = sample();
         let bytes = p.to_bytes();
         assert_eq!(FcProgram::from_bytes(&bytes).unwrap(), p);
+    }
+
+    #[test]
+    fn forged_symbol_count_is_truncated_not_an_allocation() {
+        let mut bytes = sample().to_bytes();
+        bytes[24..28].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            FcProgram::from_bytes(&bytes),
+            Err(ParseError::Truncated { .. })
+        ));
     }
 
     #[test]

@@ -19,8 +19,8 @@ use femto_containers::core::hooks::{Hook, HookKind, HookPolicy};
 use femto_containers::fleet::node::{RemoteConfig, RemoteNode, FLEET_MTU};
 use femto_containers::fleet::{FcFleet, FleetConfig};
 use femto_containers::host::{
-    CoapFront, ExecTier, FcHost, HookEvent, HostConfig, HostError, LiveUpdateService, LocalNode,
-    RebalanceConfig, Rebalancer, ShedPolicy, TelemetryConfig,
+    CoapFront, CounterId, ExecTier, FcHost, HookEvent, HostConfig, HostError, LiveUpdateService,
+    LocalNode, MetricsSnapshot, RebalanceConfig, Rebalancer, ShedPolicy, TelemetryConfig,
 };
 use femto_containers::kvstore::Scope;
 use femto_containers::net::link::LinkConfig;
@@ -192,6 +192,12 @@ fn host_reports_with(
 /// Common body: provisions the six-tenant fixture on a concurrent host
 /// built from `config`, fires `events`, and collects per-event reports.
 fn host_reports_config(events: &[usize], config: HostConfig) -> Vec<HookReport> {
+    host_run(events, config).0
+}
+
+/// As [`host_reports_config`], also returning the host's ledger after
+/// the run: its metrics snapshot and each shard's simulated cycles.
+fn host_run(events: &[usize], config: HostConfig) -> (Vec<HookReport>, MetricsSnapshot, Vec<u64>) {
     let mut host = FcHost::new(Platform::CortexM4, Engine::FemtoContainer, config);
     let hooks = provision(
         |h: &mut FcHost, hook, o| h.register_hook(hook, o),
@@ -220,8 +226,16 @@ fn host_reports_config(events: &[usize], config: HostConfig) -> Vec<HookReport> 
         .into_iter()
         .map(|rx| rx.recv().expect("not shed").expect("hook exists"))
         .collect();
+    host.quiesce();
+    let snap = host.metrics_snapshot();
+    assert_eq!(
+        snap.counter(CounterId::KeyedOverflow),
+        0,
+        "a bounded key table dropped a ledger row"
+    );
+    let sim_cycles = host.shard_reports().iter().map(|r| r.sim_cycles).collect();
     host.shutdown();
-    reports
+    (reports, snap, sim_cycles)
 }
 
 #[test]
@@ -306,6 +320,53 @@ fn telemetry_on_and_off_reports_are_bit_identical() {
             reference, without,
             "telemetry-off run diverged from the reference at {workers} workers"
         );
+    }
+}
+
+/// `TelemetryConfig::enabled = false` turns off only the telemetry
+/// extras (per-key latency, the shed table, the trace ring): the
+/// dispatch ledger a telemetry-off host keeps is exactly the one a
+/// telemetry-on host keeps for the same run.
+#[test]
+fn telemetry_off_keeps_the_whole_dispatch_ledger() {
+    let events = event_stream(300);
+    let off = TelemetryConfig {
+        enabled: false,
+        ..TelemetryConfig::default()
+    };
+    let tenants = |s: &MetricsSnapshot| -> Vec<(u32, u64, u64)> {
+        s.tenants
+            .iter()
+            .map(|t| (t.tenant, t.executions, t.insns))
+            .collect()
+    };
+    for workers in [1, 4] {
+        let config = |telemetry| HostConfig {
+            workers,
+            queue_capacity: events.len() + 1,
+            telemetry,
+            ..HostConfig::default()
+        };
+        let (_, on, on_cycles) = host_run(&events, config(TelemetryConfig::default()));
+        let (_, off, off_cycles) = host_run(&events, config(off));
+        for id in [CounterId::Dispatched, CounterId::Insns, CounterId::Faults] {
+            assert_eq!(
+                off.counter(id),
+                on.counter(id),
+                "{id:?} at {workers} workers"
+            );
+        }
+        assert_eq!(on.counter(CounterId::Dispatched), events.len() as u64);
+        assert!(on.counter(CounterId::Faults) > 0, "faulting tenant fired");
+        assert_eq!(off.latency.count(), on.latency.count());
+        assert_eq!(on.latency.count(), events.len() as u64);
+        assert_eq!(tenants(&off), tenants(&on));
+        assert_eq!(on.tenants.len(), 6);
+        assert_eq!(
+            off_cycles, on_cycles,
+            "per-shard sim cycles at {workers} workers"
+        );
+        assert!(on_cycles.iter().sum::<u64>() > 0);
     }
 }
 
@@ -549,12 +610,7 @@ fn migrated_hook_reports_stay_identical_to_reference() {
         );
     }
     assert_eq!(reference, reports);
-    assert!(
-        host.stats()
-            .migrations
-            .load(std::sync::atomic::Ordering::Relaxed)
-            > 0
-    );
+    assert!(host.metrics_snapshot().counter(CounterId::Migrations) > 0);
     host.shutdown();
 }
 
@@ -742,9 +798,9 @@ fn seeded_lifecycle_rebalance_interleaving_stays_coherent() {
         }
     }
     host.quiesce();
-    let stats = host.stats();
-    let dispatched = stats.dispatched.load(std::sync::atomic::Ordering::Relaxed);
-    let shed = stats.shed.load(std::sync::atomic::Ordering::Relaxed);
+    let snap = host.metrics_snapshot();
+    let dispatched = snap.counter(CounterId::Dispatched);
+    let shed = snap.counter(CounterId::Shed);
     assert_eq!(dispatched + shed, attempts, "event accounting balances");
     // The host still works after the storm — on whatever shard the
     // hook ended up on.
@@ -834,10 +890,7 @@ fn rebalancer_lifts_skewed_balance_with_identical_outcomes() {
     }
     let first = first_balance.unwrap();
     assert!(
-        host.stats()
-            .migrations
-            .load(std::sync::atomic::Ordering::Relaxed)
-            > 0,
+        host.metrics_snapshot().counter(CounterId::Migrations) > 0,
         "rebalancer moved hooks"
     );
     assert!(first < 0.7, "static placement is imbalanced: {first:.3}");
@@ -883,9 +936,8 @@ fn concurrent_producers_all_dispatch() {
         }
     });
     host.quiesce();
-    let stats = host.stats();
     assert_eq!(
-        stats.dispatched.load(std::sync::atomic::Ordering::Relaxed),
+        host.metrics_snapshot().counter(CounterId::Dispatched),
         3 * per_thread as u64
     );
     host.shutdown();
@@ -982,9 +1034,9 @@ fn seeded_install_execute_interleaving_stays_coherent() {
         }
     }
     host.quiesce();
-    let stats = host.stats();
-    let dispatched = stats.dispatched.load(std::sync::atomic::Ordering::Relaxed);
-    let shed = stats.shed.load(std::sync::atomic::Ordering::Relaxed);
+    let snap = host.metrics_snapshot();
+    let dispatched = snap.counter(CounterId::Dispatched);
+    let shed = snap.counter(CounterId::Shed);
     // Every attempt either executed, was rejected at the queue, or was
     // displaced after acceptance — nothing vanishes.
     assert_eq!(dispatched + shed, attempts, "event accounting balances");
@@ -1172,25 +1224,19 @@ fn live_deploys_with_inband_rebalance_stay_bit_identical() {
         );
     }
     host.quiesce();
-    let stats = host.stats();
+    let snap = host.metrics_snapshot();
+    assert_eq!(snap.counter(CounterId::Dispatched), events.len() as u64);
+    assert_eq!(snap.counter(CounterId::Shed), 0);
     assert_eq!(
-        stats.dispatched.load(std::sync::atomic::Ordering::Relaxed),
-        events.len() as u64
-    );
-    assert_eq!(stats.shed.load(std::sync::atomic::Ordering::Relaxed), 0);
-    assert_eq!(
-        stats.deploys.load(std::sync::atomic::Ordering::Relaxed),
+        snap.counter(CounterId::Deploys),
         24,
         "two deploys per round, twelve rounds"
     );
     assert!(
-        stats
-            .inband_observations
-            .load(std::sync::atomic::Ordering::Relaxed)
-            > 0,
+        snap.counter(CounterId::InbandObservations) > 0,
         "the host observed in-band, with no caller-driven observe()"
     );
-    assert!(stats.migrations.load(std::sync::atomic::Ordering::Relaxed) > 0);
+    assert!(snap.counter(CounterId::Migrations) > 0);
     host.shutdown();
 }
 
@@ -1272,15 +1318,15 @@ fn deploy_racing_queued_events_and_migrations_loses_nothing() {
             "events only ever see a deployed version"
         );
     }
-    let stats = host.stats();
+    let snap = host.metrics_snapshot();
     assert_eq!(
-        stats.dispatched.load(std::sync::atomic::Ordering::Relaxed),
+        snap.counter(CounterId::Dispatched),
         offered,
         "every accepted event executed exactly once"
     );
-    assert_eq!(stats.shed.load(std::sync::atomic::Ordering::Relaxed), 0);
-    assert_eq!(stats.deploys.load(std::sync::atomic::Ordering::Relaxed), 9);
-    assert!(stats.migrations.load(std::sync::atomic::Ordering::Relaxed) > 0);
+    assert_eq!(snap.counter(CounterId::Shed), 0);
+    assert_eq!(snap.counter(CounterId::Deploys), 9);
+    assert!(snap.counter(CounterId::Migrations) > 0);
     host.shutdown();
 }
 
@@ -1613,12 +1659,7 @@ fn remove_races_queued_events_safely() {
     // with only the keeper attached.
     assert!(host.remove(doomed));
     host.quiesce();
-    assert_eq!(
-        host.stats()
-            .dispatched
-            .load(std::sync::atomic::Ordering::Relaxed),
-        50
-    );
+    assert_eq!(host.metrics_snapshot().counter(CounterId::Dispatched), 50);
     let r = host.fire_sync(hook_id, &[], &[]).unwrap();
     assert_eq!(r.combined, Some(1), "only the keeper remains");
     host.shutdown();
