@@ -37,14 +37,22 @@
 //!
 //! # Snapshot fold
 //!
-//! Every [`DurabilityConfig::snapshot_threshold`] appended records the
-//! journal **folds**: it recovers its own active slot in memory,
-//! collapses it to one snapshot record (final kv values, newest deploy
-//! per component, the most recent tagged exchanges, aggregate counter
-//! seeds), writes header + snapshot to the *inactive* slot, and flips
-//! the active index. A crash mid-fold ([`CrashPoint::MidSnapshot`])
-//! leaves the half-written inactive slot unreferenced — the flip never
-//! happened, so recovery still reads the full pre-fold journal.
+//! The journal keeps a **running fold** of its active slot in memory:
+//! the state recovery would rebuild from that slot, extended by each
+//! append in the same critical section that writes the record to the
+//! media. A fresh journal starts from an empty fold; a recovered one
+//! continues from the fold recovery built. Every
+//! [`DurabilityConfig::snapshot_threshold`] appended records the
+//! journal **folds**: it takes that running fold (it never re-reads or
+//! re-verifies its own slot), collapses it to one snapshot record
+//! (final kv values, newest deploy per component, the most recent
+//! tagged exchanges, aggregate counter seeds), writes header + snapshot
+//! to the *inactive* slot, flips the active index, and restarts the
+//! running fold from the snapshot exactly as recovery would read it. A
+//! crash mid-fold ([`CrashPoint::MidSnapshot`]) leaves the half-written
+//! inactive slot unreferenced — the flip never happened, so recovery
+//! still reads the full pre-fold journal. With folding disabled
+//! (`snapshot_threshold == 0`) the journal keeps no running fold.
 //!
 //! # Crash injection
 //!
@@ -85,11 +93,14 @@ const TAG_SNAPSHOT: u8 = 5;
 // ------------------------------------------------------------- crc32
 
 /// IEEE CRC-32 (reflected, polynomial `0xEDB88320`) — the journal's
-/// record guard. Table built at compile time; no dependency needed.
-const CRC_TABLE: [u32; 256] = build_crc_table();
+/// record guard — computed slicing-by-8: eight bytes per step through
+/// eight tables built at compile time; no dependency needed. Table `k`
+/// maps a byte to its CRC contribution `k` bytes further up the
+/// stream, so table `0` is the classic bytewise table.
+const CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -102,17 +113,41 @@ const fn build_crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut t = 1;
+        while t < 8 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            t += 1;
+        }
+        i += 1;
+    }
+    tables
 }
 
 /// CRC-32 over `data`.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -288,17 +323,48 @@ pub struct DurableTag {
 /// One event's atomic commit: everything the restored node needs to
 /// (a) reapply the event's kv writes, (b) answer a retransmission of
 /// its exchange byte-identically, and (c) seed its counters as if it
-/// had dispatched the event itself.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct CommitRecord {
+/// had dispatched the event itself. Borrowed from the shard worker, so
+/// committing an event copies nothing but the encoded bytes (and, for
+/// a tagged exchange, the outcome the running fold keeps for dedup).
+#[derive(Debug)]
+pub(crate) struct CommitRecord<'a> {
     pub hook: Uuid,
-    pub tag: Option<DurableTag>,
+    pub tag: Option<&'a DurableTag>,
     pub latency_ns: u64,
     pub insns: u64,
     pub faults: u64,
-    pub charges: Vec<(TenantId, u64)>,
-    pub writes: Vec<KvWrite>,
-    pub outcome: Result<HookReport, NodeError>,
+    pub charges: &'a [(TenantId, u64)],
+    pub writes: &'a [KvWrite],
+    pub outcome: Result<&'a HookReport, &'a NodeError>,
+}
+
+/// A commit record decoded from the media: owns what [`CommitRecord`]
+/// borrows.
+#[derive(Debug)]
+struct OwnedCommit {
+    hook: Uuid,
+    tag: Option<DurableTag>,
+    latency_ns: u64,
+    insns: u64,
+    faults: u64,
+    charges: Vec<(TenantId, u64)>,
+    writes: Vec<KvWrite>,
+    outcome: Result<HookReport, NodeError>,
+}
+
+impl OwnedCommit {
+    fn record(&self) -> CommitRecord<'_> {
+        CommitRecord {
+            hook: self.hook,
+            tag: self.tag.as_ref(),
+            latency_ns: self.latency_ns,
+            insns: self.insns,
+            faults: self.faults,
+            charges: &self.charges,
+            writes: &self.writes,
+            outcome: self.outcome.as_ref(),
+        }
+    }
 }
 
 /// One accepted live deploy, journaled with enough context to replay
@@ -453,7 +519,7 @@ fn get_write(r: &mut Reader) -> Result<KvWrite, WireError> {
     })
 }
 
-fn put_outcome(buf: &mut Vec<u8>, outcome: &Result<HookReport, NodeError>) {
+fn put_outcome(buf: &mut Vec<u8>, outcome: Result<&HookReport, &NodeError>) {
     match outcome {
         Ok(report) => {
             put_u8(buf, 0);
@@ -492,37 +558,35 @@ fn get_tag_kind(r: &mut Reader) -> Result<TagKind, WireError> {
     })
 }
 
-fn encode_commit(rec: &CommitRecord) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(128);
-    put_u8(&mut buf, TAG_COMMIT);
-    put_uuid(&mut buf, rec.hook);
-    match &rec.tag {
+fn put_commit(buf: &mut Vec<u8>, rec: &CommitRecord) {
+    put_u8(buf, TAG_COMMIT);
+    put_uuid(buf, rec.hook);
+    match rec.tag {
         Some(tag) => {
-            put_u8(&mut buf, 1);
-            put_bytes(&mut buf, &tag.token);
-            put_tag_kind(&mut buf, tag.kind);
-            put_u32(&mut buf, tag.index);
-            put_u32(&mut buf, tag.total);
+            put_u8(buf, 1);
+            put_bytes(buf, &tag.token);
+            put_tag_kind(buf, tag.kind);
+            put_u32(buf, tag.index);
+            put_u32(buf, tag.total);
         }
-        None => put_u8(&mut buf, 0),
+        None => put_u8(buf, 0),
     }
-    put_u64(&mut buf, rec.latency_ns);
-    put_u64(&mut buf, rec.insns);
-    put_u64(&mut buf, rec.faults);
-    put_u32(&mut buf, rec.charges.len() as u32);
-    for &(tenant, insns) in &rec.charges {
-        put_u32(&mut buf, tenant);
-        put_u64(&mut buf, insns);
+    put_u64(buf, rec.latency_ns);
+    put_u64(buf, rec.insns);
+    put_u64(buf, rec.faults);
+    put_u32(buf, rec.charges.len() as u32);
+    for &(tenant, insns) in rec.charges {
+        put_u32(buf, tenant);
+        put_u64(buf, insns);
     }
-    put_u32(&mut buf, rec.writes.len() as u32);
-    for w in &rec.writes {
-        put_write(&mut buf, w);
+    put_u32(buf, rec.writes.len() as u32);
+    for w in rec.writes {
+        put_write(buf, w);
     }
-    put_outcome(&mut buf, &rec.outcome);
-    buf
+    put_outcome(buf, rec.outcome);
 }
 
-fn decode_commit(r: &mut Reader) -> Result<CommitRecord, WireError> {
+fn decode_commit(r: &mut Reader) -> Result<OwnedCommit, WireError> {
     let hook = r.uuid()?;
     let tag = match r.u8()? {
         0 => None,
@@ -548,7 +612,7 @@ fn decode_commit(r: &mut Reader) -> Result<CommitRecord, WireError> {
         writes.push(get_write(r)?);
     }
     let outcome = get_outcome(r)?;
-    Ok(CommitRecord {
+    Ok(OwnedCommit {
         hook,
         tag,
         latency_ns,
@@ -560,21 +624,20 @@ fn decode_commit(r: &mut Reader) -> Result<CommitRecord, WireError> {
     })
 }
 
-fn encode_deploy(rec: &DeployRecord) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64 + rec.payload.len());
-    put_u8(&mut buf, TAG_DEPLOY);
-    put_u32(&mut buf, rec.tenant);
-    put_str(&mut buf, &rec.uri);
-    put_bytes(&mut buf, &rec.payload);
+/// A deploy record's body without its tag byte: self-delimiting, so
+/// the deploy record and the snapshot's deploy list share it.
+fn put_deploy_body(buf: &mut Vec<u8>, rec: &DeployRecord) {
+    put_u32(buf, rec.tenant);
+    put_str(buf, &rec.uri);
+    put_bytes(buf, &rec.payload);
     match &rec.token {
         Some(token) => {
-            put_u8(&mut buf, 1);
-            put_bytes(&mut buf, token);
+            put_u8(buf, 1);
+            put_bytes(buf, token);
         }
-        None => put_u8(&mut buf, 0),
+        None => put_u8(buf, 0),
     }
-    put_deploy_report(&mut buf, &rec.report);
-    buf
+    put_deploy_report(buf, &rec.report);
 }
 
 fn decode_deploy(r: &mut Reader) -> Result<DeployRecord, WireError> {
@@ -619,56 +682,51 @@ fn get_hist(r: &mut Reader) -> Result<HistogramSnapshot, WireError> {
     Ok(h)
 }
 
-fn encode_snapshot(state: &RecoveredState) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(256);
-    put_u8(&mut buf, TAG_SNAPSHOT);
-    put_u32(&mut buf, state.kv.len() as u32);
+fn put_snapshot(buf: &mut Vec<u8>, state: &RecoveredState) {
+    put_u8(buf, TAG_SNAPSHOT);
+    put_u32(buf, state.kv.len() as u32);
     for w in &state.kv {
-        put_write(&mut buf, w);
+        put_write(buf, w);
     }
-    put_u32(&mut buf, state.deploys.len() as u32);
+    put_u32(buf, state.deploys.len() as u32);
     for d in &state.deploys {
-        // Deploy bodies are self-delimiting; reuse the record encoder
-        // minus its leading tag byte.
-        let body = encode_deploy(d);
-        buf.extend_from_slice(&body[1..]);
+        put_deploy_body(buf, d);
     }
-    put_u32(&mut buf, state.exchanges.len() as u32);
+    put_u32(buf, state.exchanges.len() as u32);
     for ex in &state.exchanges {
-        put_bytes(&mut buf, &ex.token);
-        put_uuid(&mut buf, ex.hook);
-        put_tag_kind(&mut buf, ex.kind);
-        put_u32(&mut buf, ex.total);
-        put_u32(&mut buf, ex.outcomes.len() as u32);
+        put_bytes(buf, &ex.token);
+        put_uuid(buf, ex.hook);
+        put_tag_kind(buf, ex.kind);
+        put_u32(buf, ex.total);
+        put_u32(buf, ex.outcomes.len() as u32);
         for (index, outcome) in &ex.outcomes {
-            put_u32(&mut buf, *index);
-            put_outcome(&mut buf, outcome);
+            put_u32(buf, *index);
+            put_outcome(buf, outcome.as_ref());
         }
     }
-    put_u32(&mut buf, state.deploy_replies.len() as u32);
+    put_u32(buf, state.deploy_replies.len() as u32);
     for (token, report) in &state.deploy_replies {
-        put_bytes(&mut buf, token);
-        put_deploy_report(&mut buf, report);
+        put_bytes(buf, token);
+        put_deploy_report(buf, report);
     }
     let s = &state.seeds;
-    put_u64(&mut buf, s.enqueued);
-    put_u64(&mut buf, s.dispatched);
-    put_u64(&mut buf, s.faults);
-    put_u64(&mut buf, s.insns);
-    put_u64(&mut buf, s.deploys);
-    put_hist(&mut buf, &s.latency);
-    put_u32(&mut buf, s.hooks.len() as u32);
+    put_u64(buf, s.enqueued);
+    put_u64(buf, s.dispatched);
+    put_u64(buf, s.faults);
+    put_u64(buf, s.insns);
+    put_u64(buf, s.deploys);
+    put_hist(buf, &s.latency);
+    put_u32(buf, s.hooks.len() as u32);
     for (hook, count) in &s.hooks {
-        put_uuid(&mut buf, *hook);
-        put_u64(&mut buf, *count);
+        put_uuid(buf, *hook);
+        put_u64(buf, *count);
     }
-    put_u32(&mut buf, s.tenants.len() as u32);
+    put_u32(buf, s.tenants.len() as u32);
     for (tenant, executions, insns) in &s.tenants {
-        put_u32(&mut buf, *tenant);
-        put_u64(&mut buf, *executions);
-        put_u64(&mut buf, *insns);
+        put_u32(buf, *tenant);
+        put_u64(buf, *executions);
+        put_u64(buf, *insns);
     }
-    buf
 }
 
 fn decode_snapshot(r: &mut Reader) -> Result<RecoveredState, WireError> {
@@ -728,8 +786,9 @@ fn decode_snapshot(r: &mut Reader) -> Result<RecoveredState, WireError> {
 // ----------------------------------------------------------- recovery
 
 /// Recovery accumulator: a [`RecoveredState`] plus the lookup indexes
-/// replay needs for dedup.
-#[derive(Default)]
+/// replay needs for dedup. Recovery builds one from a slot; a journal
+/// keeps one running over its active slot (see the module docs).
+#[derive(Clone, Default)]
 struct Fold {
     kv: BTreeMap<(u8, ContainerId, TenantId, u32), i64>,
     deploys: Vec<DeployRecord>,
@@ -781,20 +840,22 @@ impl Fold {
     }
 
     /// Applies one commit record; duplicated tagged records (same
-    /// token + index) replay exactly once.
-    fn apply_commit(&mut self, rec: CommitRecord) {
-        if let Some(tag) = &rec.tag {
-            if let Some(&idx) = self.exchange_index.get(&tag.token) {
-                if self.exchanges[idx]
-                    .outcomes
-                    .iter()
-                    .any(|(i, _)| *i == tag.index)
-                {
-                    return; // duplicate record
-                }
+    /// token + index) replay exactly once. Only a tagged record's
+    /// outcome is copied: retransmissions answer from it.
+    fn apply_commit(&mut self, rec: &CommitRecord) {
+        let known = rec
+            .tag
+            .and_then(|tag| self.exchange_index.get(&tag.token).copied());
+        if let (Some(tag), Some(idx)) = (rec.tag, known) {
+            if self.exchanges[idx]
+                .outcomes
+                .iter()
+                .any(|(i, _)| *i == tag.index)
+            {
+                return; // duplicate record
             }
         }
-        for w in &rec.writes {
+        for w in rec.writes {
             self.put_write(w);
         }
         self.seeds.enqueued += 1;
@@ -803,26 +864,26 @@ impl Fold {
         self.seeds.insns += rec.insns;
         self.seeds.latency.record(rec.latency_ns);
         *self.hooks.entry(rec.hook).or_insert(0) += 1;
-        for &(tenant, insns) in &rec.charges {
+        for &(tenant, insns) in rec.charges {
             let slot = self.tenants.entry(tenant).or_insert((0, 0));
             slot.0 += 1;
             slot.1 += insns;
         }
         if let Some(tag) = rec.tag {
-            let idx = *self
-                .exchange_index
-                .entry(tag.token.clone())
-                .or_insert_with(|| {
-                    self.exchanges.push(RecoveredExchange {
-                        token: tag.token.clone(),
-                        hook: rec.hook,
-                        kind: tag.kind,
-                        total: tag.total,
-                        outcomes: Vec::new(),
-                    });
-                    self.exchanges.len() - 1
+            let idx = known.unwrap_or_else(|| {
+                self.exchange_index
+                    .insert(tag.token.clone(), self.exchanges.len());
+                self.exchanges.push(RecoveredExchange {
+                    token: tag.token.clone(),
+                    hook: rec.hook,
+                    kind: tag.kind,
+                    total: tag.total,
+                    outcomes: Vec::new(),
                 });
-            self.exchanges[idx].outcomes.push((tag.index, rec.outcome));
+                self.exchanges.len() - 1
+            });
+            let outcome = rec.outcome.cloned().map_err(NodeError::clone);
+            self.exchanges[idx].outcomes.push((tag.index, outcome));
         }
     }
 
@@ -845,6 +906,16 @@ impl Fold {
 
     fn apply_forget(&mut self, component: Uuid) {
         self.deploys.retain(|d| d.report.component != component);
+    }
+
+    /// Applies a record this journal has just appended.
+    fn apply(&mut self, entry: &Entry) {
+        match *entry {
+            Entry::Commit(rec) => self.apply_commit(rec),
+            Entry::BareKv(w) => self.put_write(w),
+            Entry::Deploy(rec) => self.apply_deploy(rec.clone()),
+            Entry::Forget(component) => self.apply_forget(component),
+        }
     }
 
     fn finish(mut self) -> RecoveredState {
@@ -879,18 +950,18 @@ impl Fold {
     }
 }
 
-/// Replays one slot's bytes into a [`RecoveredState`]. Tolerates a
-/// torn tail (keeps the durable prefix); fails closed on a complete
-/// record that does not check out.
-fn recover_bytes(bytes: &[u8]) -> Result<RecoveredState, JournalError> {
+/// Replays one slot's bytes into a [`Fold`]. Tolerates a torn tail
+/// (keeps the durable prefix); fails closed on a complete record that
+/// does not check out.
+fn recover_bytes(bytes: &[u8]) -> Result<Fold, JournalError> {
+    let mut fold = Fold::default();
     if bytes.is_empty() {
         // A blank device is a fresh node.
-        return Ok(RecoveredState::default());
+        return Ok(fold);
     }
     if bytes.len() < HEADER_LEN || &bytes[..4] != MAGIC || bytes[4] != VERSION {
         return Err(JournalError::BadHeader);
     }
-    let mut fold = Fold::default();
     let mut pos = HEADER_LEN;
     while pos < bytes.len() {
         if bytes.len() - pos < 8 {
@@ -915,7 +986,7 @@ fn recover_bytes(bytes: &[u8]) -> Result<RecoveredState, JournalError> {
                     let snap = decode_snapshot(&mut r)?;
                     fold.apply_snapshot(snap);
                 }
-                TAG_COMMIT => fold.apply_commit(decode_commit(&mut r)?),
+                TAG_COMMIT => fold.apply_commit(&decode_commit(&mut r)?.record()),
                 TAG_BARE_KV => {
                     let w = get_write(&mut r)?;
                     fold.put_write(&w);
@@ -933,10 +1004,58 @@ fn recover_bytes(bytes: &[u8]) -> Result<RecoveredState, JournalError> {
         }
         pos = end;
     }
-    Ok(fold.finish())
+    Ok(fold)
 }
 
 // ------------------------------------------------------------ journal
+
+/// One record on its way to the media, borrowed from its producer.
+enum Entry<'a> {
+    Commit(&'a CommitRecord<'a>),
+    BareKv(&'a KvWrite),
+    Deploy(&'a DeployRecord),
+    Forget(Uuid),
+}
+
+impl Entry<'_> {
+    /// Encodes the tagged record body.
+    fn put(&self, buf: &mut Vec<u8>) {
+        match *self {
+            Entry::Commit(rec) => put_commit(buf, rec),
+            Entry::BareKv(w) => {
+                put_u8(buf, TAG_BARE_KV);
+                put_write(buf, w);
+            }
+            Entry::Deploy(rec) => {
+                put_u8(buf, TAG_DEPLOY);
+                put_deploy_body(buf, rec);
+            }
+            Entry::Forget(component) => {
+                put_u8(buf, TAG_FORGET);
+                put_uuid(buf, component);
+            }
+        }
+    }
+
+    /// Whether this append is a commit point a client waits on — what
+    /// a non-fold [`CrashPlan`] counts and fires at.
+    fn is_commit(&self) -> bool {
+        matches!(self, Entry::Commit(_) | Entry::Deploy(_))
+    }
+}
+
+/// Appends one framed record to `buf`: reserves the 8-byte frame
+/// header, lets `body` encode in place after it, then writes the
+/// length and CRC of what it encoded into the reserved bytes.
+fn put_framed(buf: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let start = buf.len();
+    buf.extend_from_slice(&[0; 8]);
+    body(buf);
+    let len = (buf.len() - start - 8) as u32;
+    let crc = crc32(&buf[start + 8..]);
+    buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+}
 
 /// Journal op counters, surfaced as host metrics
 /// (`journal_appends` / `journal_bytes` / `journal_folds`).
@@ -950,10 +1069,22 @@ pub struct JournalOps {
     pub folds: u64,
 }
 
+/// The journal's in-memory view of its active slot.
+struct Running {
+    /// What recovering the active slot would build; `None` when
+    /// folding is disabled and nothing would ever read it.
+    fold: Option<Fold>,
+    /// Records appended since the last fold (counted while folding).
+    since_fold: u64,
+}
+
 /// The write-ahead journal one durable node owns. Shared (`Arc`)
 /// between the host's shard workers (event commits), the update
 /// service (deploy commits), and the store sink (bare writes); all
-/// appends serialize on the media lock.
+/// appends serialize on the running-fold lock and then the media lock
+/// (always in that order), so the running fold of the active slot
+/// advances in the same critical section as the media it mirrors and
+/// a snapshot fold never has to re-read the slot.
 pub struct Journal {
     media: JournalMedia,
     config: DurabilityConfig,
@@ -961,7 +1092,7 @@ pub struct Journal {
     /// host paths that normally journal, so the journal ignores
     /// appends until the restore is complete.
     armed: AtomicBool,
-    since_fold: AtomicU64,
+    running: Mutex<Running>,
     appends: AtomicU64,
     bytes: AtomicU64,
     folds: AtomicU64,
@@ -977,12 +1108,20 @@ impl std::fmt::Debug for Journal {
 }
 
 impl Journal {
-    fn with_armed(media: JournalMedia, config: DurabilityConfig, armed: bool) -> Arc<Journal> {
+    fn with_fold(
+        media: JournalMedia,
+        config: DurabilityConfig,
+        armed: bool,
+        fold: Fold,
+    ) -> Arc<Journal> {
         Arc::new(Journal {
             media,
             config,
             armed: AtomicBool::new(armed),
-            since_fold: AtomicU64::new(0),
+            running: Mutex::new(Running {
+                fold: (config.snapshot_threshold > 0).then_some(fold),
+                since_fold: 0,
+            }),
             appends: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
             folds: AtomicU64::new(0),
@@ -1001,7 +1140,7 @@ impl Journal {
             slot.push(VERSION);
             m.slots[0] = slot;
         }
-        Journal::with_armed(media.clone(), config, true)
+        Journal::with_fold(media.clone(), config, true, Fold::default())
     }
 
     /// Boots from existing media (clearing any crash condition — the
@@ -1018,7 +1157,7 @@ impl Journal {
         media: &JournalMedia,
         config: DurabilityConfig,
     ) -> Result<(Arc<Journal>, RecoveredState), JournalError> {
-        let bytes = {
+        let fold = {
             let mut m = media.lock();
             m.crashed = false;
             m.plan = None;
@@ -1031,10 +1170,13 @@ impl Journal {
                 let active = m.active;
                 m.slots[active] = slot;
             }
-            m.slots[m.active].clone()
+            recover_bytes(&m.slots[m.active])?
         };
-        let state = recover_bytes(&bytes)?;
-        Ok((Journal::with_armed(media.clone(), config, false), state))
+        // The running fold continues from the very fold recovery built
+        // (not one rebuilt from the returned state), so each append
+        // extends it exactly as recovery would extend the slot.
+        let journal = Journal::with_fold(media.clone(), config, false, fold.clone());
+        Ok((journal, fold.finish()))
     }
 
     /// Opens the journal for appends (end of a restore).
@@ -1066,44 +1208,38 @@ impl Journal {
     /// dead (crashed before or at this append) — the caller must then
     /// suppress the reply.
     pub(crate) fn commit(&self, rec: &CommitRecord) -> bool {
-        self.append(encode_commit(rec), true)
+        self.append(Entry::Commit(rec))
     }
 
     /// Journals one accepted deploy (same liveness contract as
     /// [`Journal::commit`]).
     pub(crate) fn commit_deploy(&self, rec: &DeployRecord) -> bool {
-        self.append(encode_deploy(rec), true)
+        self.append(Entry::Deploy(rec))
     }
 
     /// Journals a component evacuation (rollback state forgotten).
     pub(crate) fn forget(&self, component: Uuid) -> bool {
-        let mut body = Vec::with_capacity(17);
-        put_u8(&mut body, TAG_FORGET);
-        put_uuid(&mut body, component);
-        self.append(body, false)
+        self.append(Entry::Forget(component))
     }
 
     /// Journals a bare kv write (host-side seeding outside any event).
     pub(crate) fn bare_kv(&self, w: &KvWrite) -> bool {
-        let mut body = Vec::with_capacity(22);
-        put_u8(&mut body, TAG_BARE_KV);
-        put_write(&mut body, w);
-        self.append(body, false)
+        self.append(Entry::BareKv(w))
     }
 
-    fn append(&self, body: Vec<u8>, is_commit: bool) -> bool {
+    fn append(&self, entry: Entry) -> bool {
         if !self.armed.load(Ordering::Acquire) {
             return true;
         }
-        let mut framed = Vec::with_capacity(8 + body.len());
-        put_u32(&mut framed, body.len() as u32);
-        put_u32(&mut framed, crc32(&body));
-        framed.extend_from_slice(&body);
+        // Room for a typical event commit without regrowing.
+        let mut framed = Vec::with_capacity(512);
+        put_framed(&mut framed, |buf| entry.put(buf));
+        let mut running = self.running.lock().expect("journal fold lock");
         let mut m = self.media.lock();
         if m.crashed {
             return false;
         }
-        if is_commit {
+        if entry.is_commit() {
             if let Some(plan) = &mut m.plan {
                 if plan.point != CrashPoint::MidSnapshot {
                     if plan.after == 0 {
@@ -1116,7 +1252,8 @@ impl Journal {
                             CrashPoint::TornRecord => {
                                 // A strict prefix: the frame header
                                 // plus half the body.
-                                m.slots[active].extend_from_slice(&framed[..8 + body.len() / 2]);
+                                let torn = 8 + (framed.len() - 8) / 2;
+                                m.slots[active].extend_from_slice(&framed[..torn]);
                             }
                             CrashPoint::PostCommitPreReply => {
                                 m.slots[active].extend_from_slice(&framed);
@@ -1133,32 +1270,33 @@ impl Journal {
         m.slots[active].extend_from_slice(&framed);
         self.appends.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(framed.len() as u64, Ordering::Relaxed);
-        let since = self.since_fold.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.config.snapshot_threshold > 0 && since >= self.config.snapshot_threshold {
-            self.since_fold.store(0, Ordering::Relaxed);
-            if !self.fold_locked(&mut m) {
-                return false;
+        let running = &mut *running;
+        if let Some(fold) = &mut running.fold {
+            fold.apply(&entry);
+            running.since_fold += 1;
+            if running.since_fold >= self.config.snapshot_threshold {
+                running.since_fold = 0;
+                return self.fold_locked(&mut m, fold);
             }
         }
         true
     }
 
-    /// Folds the journal: recover the active slot, collapse to one
-    /// snapshot record in the inactive slot, flip the active index.
-    /// Returns `false` when a [`CrashPoint::MidSnapshot`] plan fired.
-    fn fold_locked(&self, m: &mut MediaInner) -> bool {
-        let Ok(mut state) = recover_bytes(&m.slots[m.active]) else {
-            // Never fold over something recovery would reject; keep
-            // appending to the existing slot instead.
-            return true;
-        };
+    /// Folds the journal: snapshot the running fold into one record in
+    /// the inactive slot, flip the active index, and restart the
+    /// running fold from that snapshot. Returns `false` when a
+    /// [`CrashPoint::MidSnapshot`] plan fired (the node is then dead
+    /// and never appends or folds again).
+    fn fold_locked(&self, m: &mut MediaInner, fold: &mut Fold) -> bool {
+        let mut state = std::mem::take(fold).finish();
         // Collapse deploys to the newest record per component (replay
         // order preserved) and cap the retained exchanges/replies.
         let mut newest: HashMap<Uuid, DeployRecord> = HashMap::new();
         let mut order = Vec::new();
         for d in state.deploys.drain(..) {
-            if newest.insert(d.report.component, d.clone()).is_none() {
-                order.push(d.report.component);
+            let component = d.report.component;
+            if newest.insert(component, d).is_none() {
+                order.push(component);
             }
         }
         state.deploys = order
@@ -1174,13 +1312,10 @@ impl Journal {
                 .deploy_replies
                 .drain(..state.deploy_replies.len() - retain);
         }
-        let body = encode_snapshot(&state);
-        let mut slot = Vec::with_capacity(HEADER_LEN + 8 + body.len());
+        let mut slot = Vec::new();
         slot.extend_from_slice(MAGIC);
         slot.push(VERSION);
-        put_u32(&mut slot, body.len() as u32);
-        put_u32(&mut slot, crc32(&body));
-        slot.extend_from_slice(&body);
+        put_framed(&mut slot, |buf| put_snapshot(buf, &state));
         if let Some(plan) = &mut m.plan {
             if plan.point == CrashPoint::MidSnapshot {
                 if plan.after == 0 {
@@ -1199,7 +1334,17 @@ impl Journal {
         m.slots[inactive] = slot;
         m.active = inactive;
         self.folds.fetch_add(1, Ordering::Relaxed);
+        // Recovery of the new slot applies this snapshot to an empty
+        // fold; `take` left `fold` empty.
+        fold.apply_snapshot(state);
         true
+    }
+
+    /// What the running fold holds now, finished like a recovery.
+    #[cfg(test)]
+    fn running_state(&self) -> Option<RecoveredState> {
+        let running = self.running.lock().expect("journal fold lock");
+        running.fold.clone().map(Fold::finish)
     }
 }
 
@@ -1279,8 +1424,8 @@ mod tests {
         }
     }
 
-    fn commit(hook: Uuid, token: u8, key: u32, value: i64) -> CommitRecord {
-        CommitRecord {
+    fn commit(hook: Uuid, token: u8, key: u32, value: i64) -> OwnedCommit {
+        OwnedCommit {
             hook,
             tag: Some(DurableTag {
                 token: vec![token],
@@ -1308,7 +1453,7 @@ mod tests {
         let journal = Journal::create(&media, config);
         let hook = Uuid::from_name("journal", "hook");
         for i in 0..4u8 {
-            assert!(journal.commit(&commit(hook, i, u32::from(i), i64::from(i) + 10)));
+            assert!(journal.commit(&commit(hook, i, u32::from(i), i64::from(i) + 10).record()));
         }
         (media, hook)
     }
@@ -1318,7 +1463,7 @@ mod tests {
         let media = JournalMedia::new();
         let journal = Journal::create(&media, DurabilityConfig::default());
         let hook = Uuid::from_name("journal", "rt");
-        assert!(journal.commit(&commit(hook, 1, 5, 55)));
+        assert!(journal.commit(&commit(hook, 1, 5, 55).record()));
         assert!(journal.bare_kv(&KvWrite {
             scope: Scope::Tenant,
             container: 0,
@@ -1472,6 +1617,322 @@ mod tests {
         );
     }
 
+    // ------------------------------------------------------- crc32
+
+    /// The bytewise table CRC the journal shipped with first: the
+    /// oracle slicing-by-8 must match bit for bit.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    #[test]
+    fn slicing_crc_matches_bytewise_oracle_at_every_length_and_offset() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926, "IEEE check value");
+        assert_eq!(crc32(b""), 0);
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let data: Vec<u8> = (0..1024 + 8)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect();
+        for offset in 0..8 {
+            for len in 0..=1024 {
+                let slice = &data[offset..offset + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "len {len} at offset {offset}"
+                );
+            }
+        }
+    }
+
+    // ------------------------------------------------- format pin
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Pins the on-media bytes: a commit, a bare kv write, two
+    /// deploys, a forget and an error commit, the last of which trips
+    /// a snapshot fold. The expected slots were written by the
+    /// bytewise-CRC journal that re-read its slot to fold, so images
+    /// written before the fast path restore unchanged.
+    #[test]
+    fn slot_bytes_match_the_pinned_format() {
+        let config = DurabilityConfig {
+            enabled: true,
+            snapshot_threshold: 6,
+            retain_exchanges: 128,
+        };
+        let media = JournalMedia::new();
+        let journal = Journal::create(&media, config);
+        let hook = Uuid::from_name("journal", "golden-hook");
+        let app_a = Uuid::from_name("journal", "golden-a");
+        let app_b = Uuid::from_name("journal", "golden-b");
+        let report = HookReport {
+            executions: vec![fc_core::engine::ExecutionReport {
+                container: 4,
+                result: Ok(9),
+                counts: fc_rbpf::vm::OpCounts {
+                    alu64: 5,
+                    load: 2,
+                    store: 1,
+                    exit: 1,
+                    ..Default::default()
+                },
+                vm_cycles: 90,
+                helper_cycles: 30,
+                ctx_back: vec![1, 2, 3],
+                regions_back: vec![("kv".into(), vec![7, 7])],
+            }],
+            combined: Some(9),
+            cycles: 120,
+        };
+        let batch = |index| DurableTag {
+            token: vec![0xA1, 0xB2],
+            kind: TagKind::Batch,
+            index,
+            total: 2,
+        };
+        let (first, second) = (batch(0), batch(1));
+        let writes = [
+            KvWrite {
+                scope: Scope::Global,
+                container: 0,
+                tenant: 0,
+                key: 7,
+                value: 42,
+            },
+            KvWrite {
+                scope: Scope::Local,
+                container: 4,
+                tenant: 0,
+                key: 1,
+                value: -3,
+            },
+        ];
+        assert!(journal.commit(&CommitRecord {
+            hook,
+            tag: Some(&first),
+            latency_ns: 1_500,
+            insns: 9,
+            faults: 0,
+            charges: &[(3, 9)],
+            writes: &writes,
+            outcome: Ok(&report),
+        }));
+        assert!(journal.bare_kv(&KvWrite {
+            scope: Scope::Tenant,
+            container: 0,
+            tenant: 3,
+            key: 2,
+            value: 1_000_000,
+        }));
+        let deploy = |component: Uuid, container: u32, token: Option<Vec<u8>>| DeployRecord {
+            tenant: 3,
+            uri: "coaps://golden/app".into(),
+            payload: vec![0xDE, 0xAD, 0xBE, 0xEF, container as u8],
+            token,
+            report: DeployReport {
+                container,
+                component,
+                shard: 1,
+                sequence: 2,
+                attached: true,
+                replaced: None,
+            },
+        };
+        assert!(journal.commit_deploy(&deploy(app_a, 10, Some(vec![0x55]))));
+        assert!(journal.commit_deploy(&deploy(app_b, 11, None)));
+        assert!(journal.forget(app_a));
+        let rejected = NodeError::Rejected("no such hook".into());
+        assert!(journal.commit(&CommitRecord {
+            hook,
+            tag: Some(&second),
+            latency_ns: 70_000,
+            insns: 0,
+            faults: 1,
+            charges: &[],
+            writes: &[],
+            outcome: Err(&rejected),
+        }));
+        assert_eq!(journal.ops().folds, 1);
+        let journal_slot = concat!(
+            "46434a3101190100003fc260e6017f0dd44e530255eeadb9caf140a5bec30102",
+            "000000a1b2010000000002000000dc0500000000000009000000000000000000",
+            "0000000000000100000003000000090000000000000002000000010000000000",
+            "000000070000002a0000000000000000040000000000000001000000fdffffff",
+            "ffffffff00010900000000000000780000000000000001000000040000000009",
+            "0000000000000000000000000000000500000000000000000000000000000000",
+            "0000000000000002000000000000000100000000000000000000000000000000",
+            "000000000000000000000000000000000000000000000001000000000000005a",
+            "000000000000001e000000000000000300000001020301000000020000006b76",
+            "02000000070716000000184711ac020200000000030000000200000040420f00",
+            "0000000050000000264a24e2030300000012000000636f6170733a2f2f676f6c",
+            "64656e2f61707005000000deadbeef0a0101000000550a0000009969aabb03a6",
+            "5fcd84d2f13e1c5890500100000000000000020000000000000001004b000000",
+            "6fe3bea6030300000012000000636f6170733a2f2f676f6c64656e2f61707005",
+            "000000deadbeef0b000b000000a94e868bcb1259f196df8cdde7e3b874010000",
+            "0000000000020000000000000001001100000087e18913049969aabb03a65fcd",
+            "84d2f13e1c58905053000000911de5c9017f0dd44e530255eeadb9caf140a5be",
+            "c30102000000a1b2010100000002000000701101000000000000000000000000",
+            "000100000000000000000000000000000001020c0000006e6f20737563682068",
+            "6f6f6b",
+        );
+        let snapshot_slot = concat!(
+            "46434a31010f020000feb0cedf050300000000040000000000000001000000fd",
+            "ffffffffffffff010000000000000000070000002a0000000000000002000000",
+            "00030000000200000040420f0000000000010000000300000012000000636f61",
+            "70733a2f2f676f6c64656e2f61707005000000deadbeef0b000b000000a94e86",
+            "8bcb1259f196df8cdde7e3b87401000000000000000200000000000000010001",
+            "00000002000000a1b27f0dd44e530255eeadb9caf140a5bec301020000000200",
+            "0000000000000001090000000000000078000000000000000100000004000000",
+            "0009000000000000000000000000000000050000000000000000000000000000",
+            "0000000000000000000200000000000000010000000000000000000000000000",
+            "0000000000000000000000000000000000000000000000000001000000000000",
+            "005a000000000000001e00000000000000030000000102030100000002000000",
+            "6b760200000007070100000001020c0000006e6f207375636820686f6f6b0100",
+            "000001000000550a0000009969aabb03a65fcd84d2f13e1c5890500100000000",
+            "0000000200000000000000010002000000000000000200000000000000010000",
+            "000000000009000000000000000200000000000000020a010000000000000010",
+            "0100000000000000010000007f0dd44e530255eeadb9caf140a5bec302000000",
+            "00000000010000000300000001000000000000000900000000000000",
+        );
+        let m = media.lock();
+        assert_eq!(m.active, 1, "the fold flipped to slot 1");
+        assert_eq!(hex(&m.slots[0]), journal_slot, "record format drifted");
+        assert_eq!(hex(&m.slots[1]), snapshot_slot, "snapshot format drifted");
+    }
+
+    // ------------------------------------------- running fold
+
+    /// The running fold must always equal a recovery of the active
+    /// slot: this is what lets a snapshot fold skip re-reading it.
+    fn assert_running_matches_slot(journal: &Journal, media: &JournalMedia, step: usize) {
+        let running = journal
+            .running_state()
+            .expect("folding keeps a running fold");
+        let recovered = {
+            let m = media.lock();
+            recover_bytes(&m.slots[m.active]).expect("own slot recovers")
+        };
+        assert_eq!(running, recovered.finish(), "step {step}");
+    }
+
+    #[test]
+    fn running_fold_equals_slot_recovery_after_every_append() {
+        let config = DurabilityConfig {
+            enabled: true,
+            snapshot_threshold: 7,
+            retain_exchanges: 3,
+        };
+        let media = JournalMedia::new();
+        let mut journal = Journal::create(&media, config);
+        let hook = Uuid::from_name("journal", "running");
+        let components: Vec<Uuid> = (0..3)
+            .map(|i| Uuid::from_name("journal", &format!("running-{i}")))
+            .collect();
+        let mut folds = 0;
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let write = |next: &mut dyn FnMut(u64) -> u64| KvWrite {
+            scope: [Scope::Local, Scope::Global, Scope::Tenant][next(3) as usize],
+            container: next(3) as u32,
+            tenant: next(3) as u32,
+            key: next(5) as u32,
+            value: next(1000) as i64 - 500,
+        };
+        for step in 0..300 {
+            if step % 23 == 22 {
+                // Continue on a recovered journal now and then: its
+                // running fold is seeded by recovery, not by appends.
+                folds += journal.ops().folds;
+                drop(journal);
+                let (recovered, _state) = Journal::recover(&media, config).unwrap();
+                recovered.arm();
+                journal = recovered;
+            }
+            let alive = match next(6) {
+                kind @ 0..=2 => {
+                    // 0: untagged, 1: tagged batch slot (a small token
+                    // and index space forces duplicates), 2: error.
+                    let tag = (kind == 1 || next(2) == 0).then(|| DurableTag {
+                        token: vec![next(5) as u8],
+                        kind: TagKind::Batch,
+                        index: next(3) as u32,
+                        total: 3,
+                    });
+                    let writes: Vec<KvWrite> = (0..next(3)).map(|_| write(&mut next)).collect();
+                    let charges: Vec<(TenantId, u64)> =
+                        (0..next(3)).map(|_| (next(4) as u32, next(50))).collect();
+                    let report = HookReport {
+                        executions: Vec::new(),
+                        combined: Some(next(100)),
+                        cycles: next(1000),
+                    };
+                    let error = NodeError::Rejected(format!("fault {}", next(9)));
+                    journal.commit(&CommitRecord {
+                        hook,
+                        tag: tag.as_ref(),
+                        latency_ns: next(1_000_000),
+                        insns: next(500),
+                        faults: u64::from(kind == 2),
+                        charges: &charges,
+                        writes: &writes,
+                        outcome: if kind == 2 { Err(&error) } else { Ok(&report) },
+                    })
+                }
+                3 => journal.bare_kv(&write(&mut next)),
+                4 => {
+                    // Small component/sequence space: duplicates recur.
+                    let component = components[next(3) as usize];
+                    journal.commit_deploy(&DeployRecord {
+                        tenant: next(4) as u32,
+                        uri: format!("app-{}", next(9)),
+                        payload: vec![next(256) as u8; next(8) as usize],
+                        token: (next(2) == 0).then(|| vec![0xD0, next(6) as u8]),
+                        report: DeployReport {
+                            container: next(20) as u32,
+                            component,
+                            shard: next(2) as usize,
+                            sequence: next(4),
+                            attached: true,
+                            replaced: None,
+                        },
+                    })
+                }
+                _ => journal.forget(components[next(3) as usize]),
+            };
+            assert!(alive, "no crash plan armed");
+            assert_running_matches_slot(&journal, &media, step);
+        }
+        folds += journal.ops().folds;
+        assert!(folds >= 30, "folds fired often: {folds}");
+
+        let unfolded = Journal::create(
+            &JournalMedia::new(),
+            DurabilityConfig {
+                snapshot_threshold: 0,
+                ..config
+            },
+        );
+        assert!(unfolded.commit(&commit(hook, 0, 0, 1).record()));
+        assert_eq!(unfolded.running_state(), None, "no fold, no running fold");
+    }
+
     // ------------------------------------------------ snapshot fold
 
     #[test]
@@ -1484,7 +1945,7 @@ mod tests {
         let journal = Journal::create(&media, config);
         let hook = Uuid::from_name("journal", "fold");
         for i in 0..10u8 {
-            journal.commit(&commit(hook, i, u32::from(i % 2), i64::from(i)));
+            journal.commit(&commit(hook, i, u32::from(i % 2), i64::from(i)).record());
         }
         assert!(journal.ops().folds >= 2, "threshold 3 folds repeatedly");
         let (_j, state) = Journal::recover(&media, config).unwrap();
@@ -1509,7 +1970,7 @@ mod tests {
         let journal = Journal::create(&media, config);
         let hook = Uuid::from_name("journal", "cap");
         for i in 0..8u8 {
-            journal.commit(&commit(hook, i, 0, i64::from(i)));
+            journal.commit(&commit(hook, i, 0, i64::from(i)).record());
         }
         let (_j, state) = Journal::recover(&media, config).unwrap();
         assert!(state.exchanges.len() <= 2 + 3, "old exchanges fell out");
@@ -1524,15 +1985,18 @@ mod tests {
             let media = JournalMedia::new();
             let journal = Journal::create(&media, DurabilityConfig::default());
             let hook = Uuid::from_name("journal", "pre");
-            journal.commit(&commit(hook, 0, 0, 1));
+            journal.commit(&commit(hook, 0, 0, 1).record());
             media.set_crash_plan(CrashPlan {
                 point: CrashPoint::PreCommit,
                 after: 0,
             });
-            assert!(!journal.commit(&commit(hook, 1, 1, 2)), "node died");
+            assert!(
+                !journal.commit(&commit(hook, 1, 1, 2).record()),
+                "node died"
+            );
             assert!(!journal.alive());
             assert!(
-                !journal.commit(&commit(hook, 2, 2, 3)),
+                !journal.commit(&commit(hook, 2, 2, 3).record()),
                 "dead node stays dead"
             );
             (media, hook)
@@ -1547,12 +2011,12 @@ mod tests {
         let media = JournalMedia::new();
         let journal = Journal::create(&media, DurabilityConfig::default());
         let hook = Uuid::from_name("journal", "torn");
-        journal.commit(&commit(hook, 0, 0, 1));
+        journal.commit(&commit(hook, 0, 0, 1).record());
         media.set_crash_plan(CrashPlan {
             point: CrashPoint::TornRecord,
             after: 0,
         });
-        assert!(!journal.commit(&commit(hook, 1, 1, 2)));
+        assert!(!journal.commit(&commit(hook, 1, 1, 2).record()));
         let (_j, state) = Journal::recover(&media, DurabilityConfig::default()).unwrap();
         assert_eq!(state.seeds.dispatched, 1, "torn record tolerated");
         assert_eq!(state.kv.len(), 1);
@@ -1567,8 +2031,14 @@ mod tests {
             point: CrashPoint::PostCommitPreReply,
             after: 1,
         });
-        assert!(journal.commit(&commit(hook, 0, 0, 1)), "first one passes");
-        assert!(!journal.commit(&commit(hook, 1, 1, 2)), "no reply leaves");
+        assert!(
+            journal.commit(&commit(hook, 0, 0, 1).record()),
+            "first one passes"
+        );
+        assert!(
+            !journal.commit(&commit(hook, 1, 1, 2).record()),
+            "no reply leaves"
+        );
         let (_j, state) = Journal::recover(&media, DurabilityConfig::default()).unwrap();
         assert_eq!(state.seeds.dispatched, 2, "the commit itself is durable");
         assert_eq!(
@@ -1597,7 +2067,7 @@ mod tests {
         });
         let mut alive = true;
         for i in 0..6u8 {
-            alive = journal.commit(&commit(hook, i, u32::from(i), i64::from(i)));
+            alive = journal.commit(&commit(hook, i, u32::from(i), i64::from(i)).record());
             if !alive {
                 break;
             }
@@ -1637,12 +2107,15 @@ mod tests {
         let media = JournalMedia::new();
         let journal = Journal::create(&media, DurabilityConfig::default());
         let hook = Uuid::from_name("journal", "quiet");
-        journal.commit(&commit(hook, 0, 0, 1));
+        journal.commit(&commit(hook, 0, 0, 1).record());
         let (recovered, _state) = Journal::recover(&media, DurabilityConfig::default()).unwrap();
-        assert!(recovered.commit(&commit(hook, 9, 9, 9)), "quiet = no-op");
+        assert!(
+            recovered.commit(&commit(hook, 9, 9, 9).record()),
+            "quiet = no-op"
+        );
         assert_eq!(recovered.ops().appends, 0);
         recovered.arm();
-        recovered.commit(&commit(hook, 1, 1, 2));
+        recovered.commit(&commit(hook, 1, 1, 2).record());
         assert_eq!(recovered.ops().appends, 1);
         let (_j, state) = Journal::recover(&media, DurabilityConfig::default()).unwrap();
         assert_eq!(state.seeds.dispatched, 2);

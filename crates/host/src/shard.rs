@@ -372,19 +372,25 @@ fn run_shard(
                     // reply is suppressed, exactly as a real crash
                     // between commit and send would.
                     let alive = match &journal {
-                        Some(j) => j.commit(&CommitRecord {
-                            hook: event.hook,
-                            tag: event.durable_tag.clone(),
-                            latency_ns,
-                            insns,
-                            faults,
-                            charges: event_charges,
-                            writes,
-                            outcome: match &result {
-                                Ok(report) => Ok(report.clone()),
-                                Err(e) => Err(NodeError::from(HostError::Engine(e.clone()))),
-                            },
-                        }),
+                        Some(j) => {
+                            let error;
+                            j.commit(&CommitRecord {
+                                hook: event.hook,
+                                tag: event.durable_tag.as_ref(),
+                                latency_ns,
+                                insns,
+                                faults,
+                                charges: &event_charges,
+                                writes: &writes,
+                                outcome: match &result {
+                                    Ok(report) => Ok(report),
+                                    Err(e) => {
+                                        error = NodeError::from(HostError::Engine(e.clone()));
+                                        Err(&error)
+                                    }
+                                },
+                            })
+                        }
                         None => true,
                     };
                     if let Some(reply) = event.reply {
