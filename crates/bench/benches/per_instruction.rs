@@ -1,14 +1,15 @@
-//! Host wall-clock per instruction class for the vanilla and CertFC
-//! interpreters (the measurement behind Figure 8).
+//! Host wall-clock per instruction class for the vanilla, threaded and
+//! CertFC interpreters (the measurement behind Figure 8; the threaded
+//! tier is the one Femto-Container engines run).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fc_bench::figure8_classes;
 use fc_rbpf::certfc::CertInterpreter;
 use fc_rbpf::decode::DecodedProgram;
-use fc_rbpf::fast::FastInterpreter;
 use fc_rbpf::helpers::HelperRegistry;
 use fc_rbpf::interp::Interpreter;
 use fc_rbpf::mem::MemoryMap;
+use fc_rbpf::threaded::{ThreadedInterpreter, ThreadedProgram};
 use fc_rbpf::vm::ExecConfig;
 use fc_rbpf::{asm, isa, verifier};
 use std::hint::black_box;
@@ -21,7 +22,7 @@ fn bench_classes(c: &mut Criterion) {
     for (name, src, _class) in figure8_classes() {
         let text = isa::encode_all(&asm::assemble(&src).expect("assembles"));
         let prog = verifier::verify(&text, &Default::default()).expect("verifies");
-        let decoded = DecodedProgram::lower(&prog);
+        let threaded = ThreadedProgram::lower(&DecodedProgram::lower(&prog));
         group.bench_function(format!("vanilla/{name}"), |b| {
             let mut mem = MemoryMap::new();
             mem.add_stack(512);
@@ -29,11 +30,11 @@ fn bench_classes(c: &mut Criterion) {
             let interp = Interpreter::new(&prog, ExecConfig::default());
             b.iter(|| black_box(interp.run(&mut mem, &mut helpers, 0).expect("runs")))
         });
-        group.bench_function(format!("fastpath/{name}"), |b| {
+        group.bench_function(format!("threaded/{name}"), |b| {
             let mut mem = MemoryMap::new();
             mem.add_stack(512);
             let mut helpers = HelperRegistry::new();
-            let interp = FastInterpreter::new(&decoded, ExecConfig::default());
+            let interp = ThreadedInterpreter::new(&threaded, ExecConfig::default());
             b.iter(|| black_box(interp.run(&mut mem, &mut helpers, 0).expect("runs")))
         });
         group.bench_function(format!("certfc/{name}"), |b| {

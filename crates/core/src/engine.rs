@@ -8,9 +8,12 @@
 //! reception), so everything that *can* be built once per container is
 //! built at install time and reused per event:
 //!
-//! * the program is verified **and lowered** ([`DecodedProgram`]) once,
-//!   and its helper call sites are **bound** to registry slots so hot
-//!   helpers dispatch without a hash lookup;
+//! * the program is verified once and the slot keeps the one form its
+//!   engine flavour executes (an `Executor`, chosen at install): the
+//!   verified program for the `Rbpf` reference and `CertFc` engines,
+//!   or the threaded-code lowering ([`ThreadedProgram`]) for
+//!   Femto-Containers, whose helper call sites are **bound** to
+//!   registry slots so hot helpers dispatch without a hash lookup;
 //! * the helper registry is built once (the host environment is shared
 //!   through an `Arc`, so helper closures are `'static` **and `Send`**);
 //! * each slot owns an `ExecArena` whose [`MemoryMap`] skeleton
@@ -38,7 +41,6 @@ use fc_kvstore::TenantId;
 use fc_rbpf::certfc::CertInterpreter;
 use fc_rbpf::decode::DecodedProgram;
 use fc_rbpf::error::VmError;
-use fc_rbpf::fast::FastInterpreter;
 use fc_rbpf::interp::Interpreter;
 use fc_rbpf::mem::{MemoryMap, Perm, RegionId, CTX_VADDR, STACK_SIZE};
 use fc_rbpf::program::{FcProgram, ParseError};
@@ -54,29 +56,6 @@ use crate::hooks::Hook;
 
 /// Identifier the engine assigns to an installed container.
 pub type ContainerId = u32;
-
-/// Which execution tier the Femto-Container flavour dispatches to.
-///
-/// All tiers are proven observationally equivalent by the differential
-/// suite; the knob trades startup-independent hot-loop speed against
-/// debuggability of the executed representation. It only affects
-/// [`EngineFlavor::FemtoContainer`] — the `Rbpf` flavour always runs
-/// the reference interpreter and `CertFc` the defensive engine, since
-/// those flavours *are* the paper's comparison points.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecTier {
-    /// The vanilla reference interpreter (`interp.rs`): fetch/decode
-    /// per op, the semantic baseline.
-    Reference,
-    /// The decoded fast path (`fast.rs`): pre-decoded ops, single
-    /// `match` dispatch site.
-    Fast,
-    /// The threaded-code tier (`threaded.rs`): per-op handler chains
-    /// with pair fusion and cursor-backed memory access. The default —
-    /// shard workers run this unless configured down.
-    #[default]
-    Threaded,
-}
 
 /// Fixed per-instance housekeeping bytes (slot struct, region table —
 /// the paper's 624 B per instance = 512 B stack + register set +
@@ -203,6 +182,20 @@ impl ExecArena {
     }
 }
 
+/// The one executable form a slot keeps, chosen once at install by
+/// the engine flavour — each flavour runs exactly one interpreter.
+#[derive(Debug)]
+enum Executor {
+    /// `Rbpf`: the vanilla reference interpreter over the verified
+    /// program (the paper's rBPF baseline and the semantic oracle).
+    Reference(VerifiedProgram),
+    /// `CertFc`: the defensive engine over the verified program.
+    CertFc(VerifiedProgram),
+    /// `FemtoContainer`: the threaded-code tier, lowered after helper
+    /// binding so slot-bound call sites carry over.
+    Threaded(ThreadedProgram),
+}
+
 /// An installed container.
 #[derive(Debug)]
 pub struct ContainerSlot {
@@ -213,14 +206,7 @@ pub struct ContainerSlot {
     /// Human-readable name.
     pub name: String,
     image: FcProgram,
-    program: VerifiedProgram,
-    /// Fast-path lowering of `program`, produced once at install, with
-    /// helper call sites bound to registry slots.
-    decoded: DecodedProgram,
-    /// Handler-chain lowering of `decoded` for the threaded tier,
-    /// produced once at install (after helper binding, so slot-bound
-    /// call sites carry over).
-    threaded: ThreadedProgram,
+    executor: Executor,
     /// Helper registry built once at install from the granted contract.
     helpers: fc_rbpf::helpers::HelperRegistry<'static>,
     /// Helper-internal cycle meter captured by `helpers`' closures.
@@ -233,7 +219,7 @@ pub struct ContainerSlot {
 }
 
 // A slot is the unit of work a concurrent host moves between engine
-// shards; everything inside (decoded program, Send helpers, arena) is
+// shards; everything inside (executor, Send helpers, arena) is
 // thread-movable.
 const _: () = {
     const fn assert_send<T: Send>() {}
@@ -333,7 +319,6 @@ struct HookEntry {
     hook: Hook,
     offer: ContractOffer,
     attached: Vec<ContainerId>,
-    fires: u64,
 }
 
 /// The hosting engine.
@@ -357,7 +342,6 @@ struct HookEntry {
 pub struct HostingEngine {
     platform: Platform,
     flavor: EngineFlavor,
-    tier: ExecTier,
     env: Arc<HostEnv>,
     containers: BTreeMap<ContainerId, ContainerSlot>,
     hooks: BTreeMap<Uuid, HookEntry>,
@@ -386,7 +370,6 @@ impl HostingEngine {
         HostingEngine {
             platform,
             flavor,
-            tier: ExecTier::default(),
             env,
             containers: BTreeMap::new(),
             hooks: BTreeMap::new(),
@@ -403,18 +386,6 @@ impl HostingEngine {
     /// The interpreter flavour in use.
     pub fn flavor(&self) -> EngineFlavor {
         self.flavor
-    }
-
-    /// The execution tier the Femto-Container flavour dispatches to.
-    pub fn tier(&self) -> ExecTier {
-        self.tier
-    }
-
-    /// Selects the execution tier for the Femto-Container flavour.
-    /// Takes effect on the next event — every tier's representation is
-    /// lowered at install, so switching costs nothing at run time.
-    pub fn set_tier(&mut self, tier: ExecTier) {
-        self.tier = tier;
     }
 
     /// Overrides the finite-execution budgets applied to every
@@ -454,7 +425,6 @@ impl HostingEngine {
                 hook,
                 offer,
                 attached: Vec::new(),
-                fires: 0,
             },
         );
     }
@@ -534,20 +504,26 @@ impl HostingEngine {
         }
         let image = FcProgram::from_bytes(image_bytes)?;
         let program = verify(&image.text, &contract.helpers)?;
-        // Lower once for the fast path and re-check every call site
-        // against the granted set, so a bad helper binding fails the
-        // install, not the first event.
+        // Decode once and re-check every call site against the granted
+        // set, so a bad helper binding fails the install, not the first
+        // event.
         let mut decoded = DecodedProgram::lower(&program);
         decoded.precheck_helpers(&contract.helpers)?;
         self.next_id = self.next_id.max(id) + 1;
         let meter = HelperMeter::new();
         let helpers = build_registry(&self.env, &meter, id, tenant, &contract.helpers);
-        // Resolve call sites to registry slots: hot helper calls skip
-        // the id hash lookup from the first event on.
-        decoded.bind_helpers(&helpers);
-        // Lower the bound decoded stream once more into handler-chain
-        // form for the threaded tier (slot bindings carry over).
-        let threaded = ThreadedProgram::lower(&decoded);
+        let executor = match self.flavor {
+            EngineFlavor::Rbpf => Executor::Reference(program),
+            EngineFlavor::CertFc => Executor::CertFc(program),
+            EngineFlavor::FemtoContainer => {
+                // Resolve call sites to registry slots (hot helper calls
+                // skip the id hash lookup from the first event on), then
+                // lower the bound stream into handler chains; the
+                // decoded form is only a stepping stone.
+                decoded.bind_helpers(&helpers);
+                Executor::Threaded(ThreadedProgram::lower(&decoded))
+            }
+        };
         let arena = ExecArena::new(STACK_SIZE + contract.extra_stack, &image);
         // A replaced container must not inherit the old program's
         // attachments — they were granted against the *old* helper
@@ -564,9 +540,7 @@ impl HostingEngine {
                 tenant,
                 name: name.to_owned(),
                 image,
-                program,
-                decoded,
-                threaded,
+                executor,
                 helpers,
                 meter,
                 arena,
@@ -690,12 +664,16 @@ impl HostingEngine {
 
     /// Adopts a slot ejected from a sibling engine shard. The slot's
     /// helper registry was built against the environment it was
-    /// installed over, so both engines must share one [`HostEnv`]
-    /// (see [`HostingEngine::with_env`]); the adopting engine only
-    /// guarantees id uniqueness among *its own* slots.
-    pub fn adopt(&mut self, slot: ContainerSlot) -> ContainerId {
+    /// installed over, and its executor was chosen by the installing
+    /// engine's flavour, so both engines must share one [`HostEnv`]
+    /// (see [`HostingEngine::with_env`]) and one flavour; the adopting
+    /// engine only guarantees id uniqueness among *its own* slots. The
+    /// slot runs under the adopting engine's [`ExecConfig`] from then
+    /// on, like every other container it hosts.
+    pub fn adopt(&mut self, mut slot: ContainerSlot) -> ContainerId {
         let id = slot.id;
         self.next_id = self.next_id.max(id) + 1;
+        slot.config = self.exec_config;
         self.containers.insert(id, slot);
         id
     }
@@ -748,23 +726,16 @@ impl HostingEngine {
         slot.meter.reset();
         let ctx_addr = if ctx.is_empty() { 0 } else { CTX_VADDR };
         let helpers = &mut slot.helpers;
-        let outcome = match self.flavor {
-            EngineFlavor::CertFc => {
-                CertInterpreter::new(&slot.program, slot.config).run(mem, helpers, ctx_addr)
+        let outcome = match &slot.executor {
+            Executor::Reference(program) => {
+                Interpreter::new(program, slot.config).run(mem, helpers, ctx_addr)
             }
-            EngineFlavor::Rbpf => {
-                Interpreter::new(&slot.program, slot.config).run(mem, helpers, ctx_addr)
+            Executor::CertFc(program) => {
+                CertInterpreter::new(program, slot.config).run(mem, helpers, ctx_addr)
             }
-            EngineFlavor::FemtoContainer => match self.tier {
-                ExecTier::Reference => {
-                    Interpreter::new(&slot.program, slot.config).run(mem, helpers, ctx_addr)
-                }
-                ExecTier::Fast => {
-                    FastInterpreter::new(&slot.decoded, slot.config).run(mem, helpers, ctx_addr)
-                }
-                ExecTier::Threaded => ThreadedInterpreter::new(&slot.threaded, slot.config)
-                    .run(mem, helpers, ctx_addr),
-            },
+            Executor::Threaded(program) => {
+                ThreadedInterpreter::new(program, slot.config).run(mem, helpers, ctx_addr)
+            }
         };
 
         let model = cycle_model(self.platform, self.flavor);
@@ -863,9 +834,8 @@ impl HostingEngine {
         let (attached, policy) = {
             let entry = self
                 .hooks
-                .get_mut(&hook)
+                .get(&hook)
                 .ok_or(EngineError::UnknownHook(hook))?;
-            entry.fires += events.len() as u64;
             (entry.attached.clone(), entry.hook.policy)
         };
         let empty_hook_cycles = self.platform.empty_hook_cycles();
@@ -1330,7 +1300,7 @@ exit";
             let r = e.execute(id, &[], &[]).unwrap();
             results.push((r.result, r.counts));
         }
-        assert_eq!(results[0], results[1], "fast vs vanilla");
+        assert_eq!(results[0], results[1], "threaded vs vanilla");
         assert_eq!(results[1], results[2], "vanilla vs certfc");
         assert_eq!(results[0].0, Ok(325));
     }
@@ -1404,6 +1374,36 @@ exit";
         .join()
         .unwrap();
         assert_eq!(b, Ok(0));
+    }
+
+    #[test]
+    fn adopted_slot_runs_under_the_adopting_engines_budget() {
+        // Installed under the default (generous) budgets on shard A…
+        let mut a = engine();
+        let id = a
+            .install(
+                "spin",
+                1,
+                &image("spin: ja spin\nexit"),
+                ContractRequest::default(),
+            )
+            .unwrap();
+        // …then migrated to shard B, whose budget was tightened: the
+        // adopted container must be contained by B's budget, not the
+        // one it carried out of A.
+        let mut b = HostingEngine::with_env(a.platform(), a.flavor(), a.env_handle());
+        b.set_exec_config(ExecConfig::new(1000, 100));
+        b.adopt(a.eject(id).unwrap());
+        let r = b.execute(id, &[], &[]).unwrap();
+        assert!(
+            matches!(
+                r.result,
+                Err(VmError::BranchBudgetExceeded { budget: 100 }
+                    | VmError::InstructionBudgetExceeded { budget: 1000 })
+            ),
+            "{:?}",
+            r.result
+        );
     }
 
     #[test]

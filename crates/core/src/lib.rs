@@ -29,7 +29,7 @@
 //!   [`fc_kvstore::ShardedStores`]' sharded locks), the SAUL sensor
 //!   registry, the console, the virtual clock and the RNG (atomics).
 //! * **Per shard, unlocked**: everything execution-hot — container
-//!   slots, decoded programs, helper registries (whose closures are
+//!   slots, lowered programs, helper registries (whose closures are
 //!   `Send` and capture the env through `Arc`), execution arenas with
 //!   their buffer pools, and each slot's [`helpers_impl::HelperMeter`]
 //!   for helper-cycle accounting.
@@ -67,6 +67,6 @@ pub mod integration;
 
 pub use contract::{Contract, ContractOffer, ContractRequest};
 pub use engine::{
-    ContainerId, EngineError, ExecTier, ExecutionReport, HookReport, HostRegion, HostingEngine,
+    ContainerId, EngineError, ExecutionReport, HookReport, HostRegion, HostingEngine,
 };
 pub use hooks::{Hook, HookKind, HookPolicy};

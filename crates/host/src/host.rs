@@ -51,7 +51,7 @@ use std::time::Instant;
 
 use fc_core::contract::{ContractOffer, ContractRequest};
 use fc_core::engine::{
-    ContainerId, EngineError, ExecTier, ExecutionReport, HookReport, HostRegion, HostingEngine,
+    ContainerId, EngineError, ExecutionReport, HookReport, HostRegion, HostingEngine,
 };
 use fc_core::helpers_impl::HostEnv;
 use fc_core::hooks::Hook;
@@ -130,10 +130,6 @@ pub struct HostConfig {
     /// Observability plane: keyed metrics registry + event trace ring
     /// (see [`crate::telemetry`]).
     pub telemetry: TelemetryConfig,
-    /// Execution tier shard workers dispatch to for the
-    /// Femto-Container flavour (default: [`ExecTier::Threaded`], the
-    /// handler-chain interpreter; see `fc_core::engine::ExecTier`).
-    pub exec_tier: ExecTier,
 }
 
 impl Default for HostConfig {
@@ -147,7 +143,6 @@ impl Default for HostConfig {
             rebalance_interval: 0,
             rebalance: RebalanceConfig::default(),
             telemetry: TelemetryConfig::default(),
-            exec_tier: ExecTier::default(),
         }
     }
 }
@@ -358,7 +353,6 @@ impl FcHost {
             // positive and livelock the scheduling loop.
             quantum_insns: config.quantum_insns.clamp(1, i64::MAX as u64) as i64,
             drain_batch: config.drain_batch.max(1),
-            exec_tier: config.exec_tier,
         };
         let shards = (0..workers)
             .map(|i| {

@@ -35,7 +35,7 @@
 //!   stay coherent across shards), the SAUL sensors, the console, and
 //!   the virtual clock.
 //! * **Per shard**: a whole [`fc_core::engine::HostingEngine`] — slots,
-//!   decoded programs, helper registries, execution arenas. Nothing
+//!   lowered programs, helper registries, execution arenas. Nothing
 //!   here is locked; the shard's worker thread owns it outright. The
 //!   `Send` boundary that makes this legal is enforced in `fc-rbpf`
 //!   (see its crate docs) and `fc-core`.
@@ -106,7 +106,6 @@ pub mod wire;
 
 pub use coap::{CoapFront, CoapReply};
 pub use deploy::{DeployPoll, DeployReport, LiveDeployError, LiveUpdateService};
-pub use fc_core::engine::ExecTier;
 pub use host::{DeployOutcome, FcHost, HookEvent, HostConfig, HostError};
 pub use journal::{
     crc32, CounterSeeds, CrashPlan, CrashPoint, DeployRecord, DurabilityConfig, DurableTag,

@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use fc_core::contract::{ContractOffer, ContractRequest};
 use fc_core::engine::{
-    ContainerId, ContainerSlot, EngineError, ExecTier, ExecutionReport, HostRegion, HostingEngine,
+    ContainerId, ContainerSlot, EngineError, ExecutionReport, HostRegion, HostingEngine,
 };
 use fc_core::helpers_impl::HostEnv;
 use fc_core::hooks::Hook;
@@ -209,8 +209,6 @@ impl OutstandingGauge {
 pub(crate) struct ShardParams {
     pub quantum_insns: i64,
     pub drain_batch: usize,
-    /// Execution tier the shard's engine dispatches to.
-    pub exec_tier: ExecTier,
 }
 
 /// Spawns one shard worker owning a fresh engine over `env`.
@@ -229,11 +227,9 @@ pub(crate) fn spawn_shard(
     std::thread::Builder::new()
         .name(format!("fc-host-shard-{index}"))
         .spawn(move || {
-            let mut engine = HostingEngine::with_env(platform, flavor, env);
-            engine.set_tier(params.exec_tier);
             run_shard(
                 index,
-                engine,
+                HostingEngine::with_env(platform, flavor, env),
                 inbox,
                 outstanding,
                 telemetry,

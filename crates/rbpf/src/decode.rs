@@ -1,5 +1,7 @@
-//! One-time lowering of a [`VerifiedProgram`] into the fast-path
-//! execution format (see the crate docs' "two-tier pipeline").
+//! One-time lowering of a [`VerifiedProgram`] into the decoded
+//! format, the intermediate step of the threaded tier's install-time
+//! pipeline (see the crate docs): [`crate::threaded::ThreadedProgram::lower`]
+//! consumes a [`DecodedProgram`], which is not executed on its own.
 //!
 //! The vanilla interpreter re-extracts every instruction field,
 //! re-sign-extends every immediate and re-fetches `lddw` second slots on
@@ -29,7 +31,7 @@ use crate::isa::{self, Insn, OpClass};
 use crate::mem::{DATA_VADDR, RODATA_VADDR};
 use crate::verifier::{VerifiedProgram, VerifierError};
 
-/// Dense fast-path operation discriminant.
+/// Dense decoded operation discriminant.
 ///
 /// Imm/reg forms stay distinct so the dispatch loop never tests a
 /// source-selector flag, and the `le`/`be` width immediate is resolved
@@ -303,7 +305,8 @@ pub const CLS_SCRATCH: u8 = OpClass::COUNT as u8;
 /// Marker in the pc map for the second slot of a wide instruction.
 const WIDE_TAIL: u32 = u32::MAX;
 
-/// A program lowered for fast-path execution.
+/// A program lowered into the decoded format (the input of
+/// [`crate::threaded::ThreadedProgram::lower`]).
 ///
 /// Constructible only from a [`VerifiedProgram`], so the decoded stream
 /// inherits the verifier's guarantees (valid opcodes, in-bounds branch
@@ -330,7 +333,7 @@ pub struct DecodedProgram {
 }
 
 impl DecodedProgram {
-    /// Lowers a verified program into the decoded fast-path format.
+    /// Lowers a verified program into the decoded format.
     pub fn lower(program: &VerifiedProgram) -> Self {
         let insns = program.insns();
         let n = insns.len();

@@ -79,7 +79,7 @@ struct Entry<'h> {
 ///
 /// Entries live in a dense slot vector with a side `id → slot` index:
 /// [`HelperRegistry::call`] pays one hash lookup, while
-/// [`HelperRegistry::call_slot`] — used by decoded programs whose call
+/// [`HelperRegistry::call_slot`] — used by threaded programs whose call
 /// sites were resolved once at install time via
 /// [`crate::decode::DecodedProgram::bind_helpers`] — is a direct vector
 /// index. Slots are stable for the lifetime of the registry: replacing a

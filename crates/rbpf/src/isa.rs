@@ -408,7 +408,7 @@ impl OpClass {
     /// Number of distinct op classes.
     pub const COUNT: usize = 11;
 
-    /// Dense index of this class, used by the fast path's flat counter
+    /// Dense index of this class, used by the threaded tier's flat counter
     /// array (see `fc_rbpf::vm::OpCounts::from_class_array`).
     #[inline]
     pub fn index(self) -> usize {

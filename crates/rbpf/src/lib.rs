@@ -5,47 +5,47 @@
 //! §9): the eBPF instruction set with the Femto-Container extensions, a
 //! text assembler and disassembler, the application binary format, the
 //! pre-flight instruction checker, the run-time memory allow-list, and
-//! four execution engines — the vanilla rBPF-derived reference
-//! interpreter, the decoded fast path, the threaded-code tier, and the
-//! CertFC-style defensive engine.
+//! three execution engines — the vanilla rBPF-derived reference
+//! interpreter, the threaded-code tier, and the CertFC-style defensive
+//! engine.
 //!
-//! ## The three-tier execution pipeline: verify → decode → lower → run
+//! ## Two interpreters and an oracle: verify → decode → lower → run
 //!
-//! Execution is staged so that every per-program cost is paid exactly
-//! once, before the first event:
+//! Each hosting-engine flavour runs exactly one of them, chosen once
+//! at install: `Rbpf` runs the reference interpreter, `FemtoContainer`
+//! the threaded tier, and `CertFc` the defensive engine. Every
+//! per-program cost is paid once, before the first event:
 //!
 //! 1. **Verify** ([`verifier::verify`]) — the pre-flight checker runs
 //!    once per installed application and yields a [`VerifiedProgram`]:
 //!    opcodes known, registers in bounds, jump targets inside the text
 //!    section and never into a wide pair's second slot, helper calls
-//!    covered by the contract, constant divisors non-zero.
+//!    covered by the contract, constant divisors non-zero. The
+//!    reference interpreter ([`interp::Interpreter`]) and CertFC
+//!    ([`certfc`]) execute this form directly.
 //! 2. **Decode** ([`decode::DecodedProgram::lower`]) — the verified
 //!    instruction stream is lowered once into fixed-width decoded ops:
 //!    fields pre-extracted, immediates pre-sign/zero-extended and
 //!    shifts pre-masked, `lddw`-family pairs fused into single ops,
-//!    branch targets resolved to absolute decoded indices, and helper
-//!    call sites optionally re-checked against the granted set
-//!    ([`decode::DecodedProgram::precheck_helpers`]).
-//! 3. **Run** — two hot-loop tiers share the decoded format:
-//!    * [`fast::FastInterpreter`] dispatches decoded ops through a
-//!      single `match` with a decrementing instruction-budget check and
-//!      flat-array op accounting.
-//!    * [`threaded::ThreadedInterpreter`] (the default on hosting
-//!      shards) first lowers the decoded ops once more into
-//!      handler-chain *threaded code*
-//!      ([`threaded::ThreadedProgram::lower`]): a per-op handler
-//!      function pointer stored inline with its operands, adjacent
-//!      non-identical pure-ALU ops fused into pair handlers, constant
-//!      divisors resolved to guard-free handlers, and memory ops routed
-//!      through per-direction region cursors
-//!      ([`mem::RegionCursor`]).
+//!    identical runs collapsed into `AluRep`/`BranchRep`
+//!    superinstructions, branch targets resolved to absolute decoded
+//!    indices, and helper call sites optionally re-checked against the
+//!    granted set ([`decode::DecodedProgram::precheck_helpers`]). The
+//!    decoded form is an intermediate: nothing executes it directly.
+//! 3. **Lower** ([`threaded::ThreadedProgram::lower`]) — the decoded
+//!    ops become handler-chain *threaded code*: a per-op handler
+//!    function pointer stored inline with its operands, fusable runs
+//!    collapsed into block superinstructions, adjacent non-identical
+//!    pure-ALU ops fused, constant divisors resolved to guard-free
+//!    handlers, and memory ops routed through per-direction region
+//!    cursors ([`mem::RegionCursor`]).
+//! 4. **Run** — [`threaded::ThreadedInterpreter`] executes the chain.
 //!
-//! The reference interpreter ([`interp::Interpreter`]) executes the
-//! [`VerifiedProgram`] directly and remains the semantic baseline: the
+//! The reference interpreter remains the semantic baseline: the
 //! randomized differential suite (`tests/differential_vm.rs`) checks
-//! that both hot tiers are observationally equivalent — same return
-//! values, same [`OpCounts`], same faults — on thousands of seeded
-//! programs, alongside the CertFC defensive engine ([`certfc`]).
+//! that the threaded tier and CertFC are observationally equivalent
+//! to it — same return values, same [`OpCounts`], same faults — on
+//! thousands of seeded programs.
 //!
 //! ## Memory-map cache invariants
 //!
@@ -62,12 +62,13 @@
 //! ## The `Send` boundary
 //!
 //! Everything a concurrent hosting runtime needs to move a container
-//! onto a worker thread is `Send`: [`DecodedProgram`] and
-//! [`VerifiedProgram`] are plain data, [`mem::MemoryMap`] keeps only a
-//! thread-local `Cell` cache (it is deliberately **not** `Sync` — each
-//! worker owns its maps outright), and [`helpers::HelperRegistry`]
-//! requires `Send` closures, so host state captured by helpers must be
-//! shared through `Arc` + locks/atomics. The compile-time assertions
+//! onto a worker thread is `Send`: [`VerifiedProgram`],
+//! [`DecodedProgram`] and [`ThreadedProgram`] are plain data,
+//! [`mem::MemoryMap`] keeps only a thread-local `Cell` cache (it is
+//! deliberately **not** `Sync` — each worker owns its maps outright),
+//! and [`helpers::HelperRegistry`] requires `Send` closures, so host
+//! state captured by helpers must be shared through `Arc` +
+//! locks/atomics. The compile-time assertions
 //! live at the bottom of this file.
 //!
 //! ## Pipeline example
@@ -75,8 +76,8 @@
 //! ```
 //! use fc_rbpf::{asm, isa, verifier, mem::MemoryMap};
 //! use fc_rbpf::decode::DecodedProgram;
-//! use fc_rbpf::fast::FastInterpreter;
 //! use fc_rbpf::helpers::HelperRegistry;
+//! use fc_rbpf::threaded::{ThreadedInterpreter, ThreadedProgram};
 //! use std::collections::HashSet;
 //!
 //! // 1. Author an application (normally compiled from C via LLVM; here
@@ -87,14 +88,14 @@
 //! // 2. Pre-flight verification, once, before first execution.
 //! let program = verifier::verify(&text, &HashSet::new())?;
 //!
-//! // 3. Lower once into the decoded fast-path format.
-//! let decoded = DecodedProgram::lower(&program);
+//! // 3. Decode and lower once into threaded code.
+//! let threaded = ThreadedProgram::lower(&DecodedProgram::lower(&program));
 //!
 //! // 4. Build the memory allow-list and run.
 //! let mut mem = MemoryMap::new();
 //! mem.add_stack(fc_rbpf::mem::STACK_SIZE);
 //! let mut helpers = HelperRegistry::new();
-//! let out = FastInterpreter::new(&decoded, Default::default())
+//! let out = ThreadedInterpreter::new(&threaded, Default::default())
 //!     .run(&mut mem, &mut helpers, 0)?;
 //! assert_eq!(out.return_value, 42);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -108,7 +109,6 @@ pub mod compress;
 pub mod decode;
 pub mod disasm;
 pub mod error;
-pub mod fast;
 pub mod helpers;
 pub mod interp;
 pub mod isa;
@@ -120,7 +120,6 @@ pub mod vm;
 
 pub use decode::DecodedProgram;
 pub use error::VmError;
-pub use fast::FastInterpreter;
 pub use isa::Insn;
 pub use program::FcProgram;
 pub use threaded::{ThreadedInterpreter, ThreadedProgram};
@@ -128,7 +127,7 @@ pub use verifier::{verify, VerifiedProgram, VerifierError};
 pub use vm::{ExecConfig, Execution, OpCounts};
 
 // The `Send` boundary, enforced at compile time: a container's whole
-// execution state (program, decoded stream, memory map, helper
+// execution state (program, lowered chain, memory map, helper
 // registry) can migrate to a worker thread.
 const fn _assert_send<T: Send>() {}
 const _: () = {
@@ -137,7 +136,6 @@ const _: () = {
     _assert_send::<FcProgram>();
     _assert_send::<mem::MemoryMap>();
     _assert_send::<helpers::HelperRegistry<'static>>();
-    _assert_send::<FastInterpreter<'static>>();
     _assert_send::<ThreadedProgram>();
     _assert_send::<ThreadedInterpreter<'static>>();
 };

@@ -1,10 +1,10 @@
-//! The threaded-code dispatch tier (tier three of the execution
-//! pipeline; see the crate docs).
+//! The threaded-code interpreter: the hot execution tier, and the one
+//! the Femto-Container engine flavour runs (see the crate docs).
 //!
-//! The fast path ([`crate::fast::FastInterpreter`]) funnels every
-//! operation through **one** indirect dispatch site — a single `match`
-//! whose jump-table branch has to predict the whole instruction mix.
-//! This module lowers a [`DecodedProgram`] one step further, into
+//! A `match`-dispatch loop funnels every operation through **one**
+//! indirect dispatch site, whose jump-table branch has to predict the
+//! whole instruction mix. This module lowers a [`DecodedProgram`] one
+//! step further, into
 //! classic *threaded code*: each op becomes a [`ThreadedOp`] carrying a
 //! per-kind handler **function pointer** inline with its pre-extracted
 //! operands, so the hot loop is just
@@ -55,15 +55,15 @@
 //!   a multiply by `floor(2^64 / d)` plus one correction step — no
 //!   hardware divide at all.
 //!
-//! Execution semantics are bit-identical to the reference and fast
-//! tiers — same return values, same [`crate::vm::OpCounts`], same
-//! faults with the same reported program counters, same budget
-//! accounting in VM-instruction units — enforced per-program by the
-//! randomized three-way differential suite (`tests/differential_vm.rs`).
+//! Execution semantics are bit-identical to the reference interpreter
+//! ([`crate::interp`]) — same return values, same
+//! [`crate::vm::OpCounts`], same faults with the same reported program
+//! counters, same budget accounting in VM-instruction units — enforced
+//! per-program by the randomized differential suite
+//! (`tests/differential_vm.rs`, reference vs threaded vs CertFC).
 
 use crate::decode::{DecodedInsn, DecodedProgram, Kind};
 use crate::error::VmError;
-use crate::fast::{eval_cond, exec_pure_alu};
 use crate::helpers::HelperRegistry;
 use crate::isa::OpClass;
 use crate::mem::{MemoryMap, RegionCursor};
@@ -72,6 +72,165 @@ use crate::vm::{ExecConfig, Execution};
 /// `counts` index recording a taken branch; `BNT` (not taken) is the
 /// next slot, so `BNT - taken as usize` is a branchless select.
 const BNT: usize = 7; // OpClass::BranchNotTaken.index(); taken = 6.
+
+/// Applies one pure (register-only, non-faulting) ALU op `n` times —
+/// the execution body of the [`Kind::AluRep`] superinstruction, of
+/// standalone ALU handlers and of fused pair/block members. Each
+/// application repeats the member op's exact single-step semantics, so
+/// the result is identical to dispatching the op `n` times; LLVM
+/// strength-reduces the idempotent and affine cases, and `n = 1`
+/// callers collapse to the bare op.
+///
+/// Operands arrive as scalars (not a `&DecodedInsn`) so chain ops,
+/// block members and micro ops all feed their own representation
+/// through the one semantic implementation.
+#[inline(always)]
+fn exec_pure_alu(kind: Kind, dst: usize, src: usize, imm: u64, regs: &mut [u64; 11], n: u32) {
+    let s = regs[src];
+    exec_alu_val(kind, &mut regs[dst], s, imm, n);
+}
+
+/// Value-level core of [`exec_pure_alu`]: applies one pure ALU op `n`
+/// times to the destination value in place. `src` is the *value* of
+/// the source register (ignored by immediate and unary kinds), so the
+/// register-file indexing stays out of the per-kind match entirely.
+#[inline(always)]
+fn exec_alu_val(kind: Kind, dst: &mut u64, src: u64, imm: u64, n: u32) {
+    macro_rules! rep {
+        ($body:expr) => {
+            for _ in 0..n {
+                $body;
+            }
+        };
+    }
+    match kind {
+        Kind::LdImm | Kind::Mov64Imm | Kind::Mov32Imm => *dst = imm,
+        Kind::Add32Imm => {
+            rep!(*dst = (*dst as u32).wrapping_add(imm as u32) as u64)
+        }
+        Kind::Add32Reg => {
+            rep!(*dst = (*dst as u32).wrapping_add(src as u32) as u64)
+        }
+        Kind::Sub32Imm => {
+            rep!(*dst = (*dst as u32).wrapping_sub(imm as u32) as u64)
+        }
+        Kind::Sub32Reg => {
+            rep!(*dst = (*dst as u32).wrapping_sub(src as u32) as u64)
+        }
+        Kind::Mul32Imm => {
+            rep!(*dst = (*dst as u32).wrapping_mul(imm as u32) as u64)
+        }
+        Kind::Mul32Reg => {
+            rep!(*dst = (*dst as u32).wrapping_mul(src as u32) as u64)
+        }
+        Kind::Or32Imm => rep!(*dst = ((*dst as u32) | imm as u32) as u64),
+        Kind::Or32Reg => {
+            rep!(*dst = ((*dst as u32) | (src as u32)) as u64)
+        }
+        Kind::And32Imm => rep!(*dst = ((*dst as u32) & imm as u32) as u64),
+        Kind::And32Reg => {
+            rep!(*dst = ((*dst as u32) & (src as u32)) as u64)
+        }
+        Kind::Lsh32Imm => rep!(*dst = ((*dst as u32) << imm) as u64),
+        Kind::Lsh32Reg => {
+            rep!(*dst = ((*dst as u32) << ((src as u32) & 31)) as u64)
+        }
+        Kind::Rsh32Imm => rep!(*dst = ((*dst as u32) >> imm) as u64),
+        Kind::Rsh32Reg => {
+            rep!(*dst = ((*dst as u32) >> ((src as u32) & 31)) as u64)
+        }
+        Kind::Neg32 => rep!(*dst = (*dst as u32).wrapping_neg() as u64),
+        Kind::Xor32Imm => rep!(*dst = ((*dst as u32) ^ imm as u32) as u64),
+        Kind::Xor32Reg => {
+            rep!(*dst = ((*dst as u32) ^ (src as u32)) as u64)
+        }
+        Kind::Mov32Reg => *dst = src as u32 as u64,
+        Kind::Arsh32Imm => {
+            rep!(*dst = (((*dst as i32) >> imm) as u32) as u64)
+        }
+        Kind::Arsh32Reg => {
+            rep!(*dst = (((*dst as i32) >> ((src as u32) & 31)) as u32) as u64)
+        }
+        Kind::Le16 => *dst &= 0xffff,
+        Kind::Le32 => *dst &= 0xffff_ffff,
+        Kind::Le64 => {}
+        Kind::Be16 => rep!(*dst = (*dst as u16).swap_bytes() as u64),
+        Kind::Be32 => rep!(*dst = (*dst as u32).swap_bytes() as u64),
+        Kind::Be64 => rep!(*dst = dst.swap_bytes()),
+        Kind::Add64Imm => rep!(*dst = dst.wrapping_add(imm)),
+        Kind::Add64Reg => rep!(*dst = dst.wrapping_add(src)),
+        Kind::Sub64Imm => rep!(*dst = dst.wrapping_sub(imm)),
+        Kind::Sub64Reg => rep!(*dst = dst.wrapping_sub(src)),
+        Kind::Mul64Imm => rep!(*dst = dst.wrapping_mul(imm)),
+        Kind::Mul64Reg => rep!(*dst = dst.wrapping_mul(src)),
+        Kind::Or64Imm => rep!(*dst |= imm),
+        Kind::Or64Reg => rep!(*dst |= src),
+        Kind::And64Imm => rep!(*dst &= imm),
+        Kind::And64Reg => rep!(*dst &= src),
+        Kind::Lsh64Imm => rep!(*dst = dst.wrapping_shl(imm as u32)),
+        Kind::Lsh64Reg => rep!(*dst = dst.wrapping_shl(src as u32)),
+        Kind::Rsh64Imm => rep!(*dst = dst.wrapping_shr(imm as u32)),
+        Kind::Rsh64Reg => rep!(*dst = dst.wrapping_shr(src as u32)),
+        Kind::Neg64 => rep!(*dst = dst.wrapping_neg()),
+        Kind::Xor64Imm => rep!(*dst ^= imm),
+        Kind::Xor64Reg => rep!(*dst ^= src),
+        Kind::Mov64Reg => *dst = src,
+        Kind::Arsh64Imm => {
+            rep!(*dst = ((*dst as i64).wrapping_shr(imm as u32)) as u64)
+        }
+        Kind::Arsh64Reg => {
+            rep!(*dst = ((*dst as i64).wrapping_shr(src as u32)) as u64)
+        }
+        // Constant divisors: fused only when the immediate is non-zero
+        // (the verifier guarantees it), so these cannot fault.
+        Kind::Div32Imm => rep!(*dst = ((*dst as u32) / imm as u32) as u64),
+        Kind::Mod32Imm => rep!(*dst = ((*dst as u32) % imm as u32) as u64),
+        Kind::Div64Imm => rep!(*dst /= imm),
+        Kind::Mod64Imm => rep!(*dst %= imm),
+        other => unreachable!("AluRep of non-pure kind {other:?}"),
+    }
+}
+
+/// Evaluates a branch condition without side effects — the decision
+/// body of the [`Kind::BranchRep`] superinstruction, of the per-kind
+/// branch handlers and of block-member branches. Scalar operands, for
+/// the same reason as [`exec_pure_alu`].
+#[inline(always)]
+fn eval_cond(kind: Kind, dst: usize, src: usize, imm: u64, regs: &[u64; 11]) -> bool {
+    eval_cond_val(kind, regs[dst], regs[src], imm)
+}
+
+/// Value-level core of [`eval_cond`]: operands are register *values*,
+/// pre-resolved by the caller.
+#[inline(always)]
+fn eval_cond_val(kind: Kind, dst: u64, src: u64, imm: u64) -> bool {
+    match kind {
+        Kind::Ja => true,
+        Kind::JeqImm => dst == imm,
+        Kind::JeqReg => dst == src,
+        Kind::JgtImm => dst > imm,
+        Kind::JgtReg => dst > src,
+        Kind::JgeImm => dst >= imm,
+        Kind::JgeReg => dst >= src,
+        Kind::JltImm => dst < imm,
+        Kind::JltReg => dst < src,
+        Kind::JleImm => dst <= imm,
+        Kind::JleReg => dst <= src,
+        Kind::JsetImm => dst & imm != 0,
+        Kind::JsetReg => dst & src != 0,
+        Kind::JneImm => dst != imm,
+        Kind::JneReg => dst != src,
+        Kind::JsgtImm => (dst as i64) > imm as i64,
+        Kind::JsgtReg => (dst as i64) > src as i64,
+        Kind::JsgeImm => (dst as i64) >= imm as i64,
+        Kind::JsgeReg => (dst as i64) >= src as i64,
+        Kind::JsltImm => (dst as i64) < (imm as i64),
+        Kind::JsltReg => (dst as i64) < (src as i64),
+        Kind::JsleImm => (dst as i64) <= (imm as i64),
+        Kind::JsleReg => (dst as i64) <= (src as i64),
+        other => unreachable!("BranchRep of non-branch kind {other:?}"),
+    }
+}
 
 /// A handler's return value: the next chain index to execute, or
 /// [`STOP`] after the handler has recorded the run's outcome.
@@ -229,8 +388,9 @@ pub struct ThreadedOp {
 }
 
 /// Pays the standard per-op toll — budget check, decrement, class
-/// count — or records budget exhaustion. Mirrors the fast tier's loop
-/// head exactly (branch kinds carry the discarded scratch class).
+/// count — or records budget exhaustion. Mirrors the reference
+/// interpreter's per-fetch budget check exactly (branch kinds carry the
+/// discarded scratch class).
 #[inline(always)]
 fn pay(st: &mut ThreadedState<'_, '_>, cls: u8) -> bool {
     if st.insn_left == 0 {
@@ -299,7 +459,7 @@ alu_handlers! {
 }
 
 /// `div`/`mod` by a zero immediate (unverified programs only): always
-/// faults, with the same pc the guarded tiers report.
+/// faults, with the same pc the reference interpreter reports.
 fn h_div_zero_imm(st: &mut ThreadedState<'_, '_>, op: &ThreadedOp) -> Control {
     if !pay(st, op.cls) {
         return STOP;
@@ -339,7 +499,7 @@ div_reg_handlers! {
 
 /// Generates one handler per branch kind. Branches skip the dynamic
 /// class count in [`pay`] (their `cls` is the discarded scratch slot)
-/// and record taken/not-taken themselves, exactly like the fast tier.
+/// and record taken/not-taken themselves, as the reference does.
 macro_rules! branch_handlers {
     ($($name:ident => $kind:ident),* $(,)?) => {
         $(fn $name(st: &mut ThreadedState<'_, '_>, op: &ThreadedOp) -> Control {
@@ -961,7 +1121,9 @@ fn alu_pair_tail(st: &mut ThreadedState<'_, '_>, op: &ThreadedOp) -> Control {
 }
 
 /// [`Kind::AluRep`] superinstruction: identical-run RLE from the
-/// decode tier, with the fast tier's exact budget-fallback semantics.
+/// decode tier. When the instruction budget cannot cover the whole
+/// run, it executes one member and steps to the next member's own
+/// suffix head, so exhaustion lands on the same op as in the reference.
 fn h_alu_rep(st: &mut ThreadedState<'_, '_>, op: &ThreadedOp) -> Control {
     if !pay(st, op.cls) {
         return STOP;
@@ -1576,7 +1738,7 @@ impl<'p> ThreadedInterpreter<'p> {
 
     /// Runs the program from an explicit entry slot given in
     /// **original** (pre-decode) instruction slots, mirroring
-    /// [`crate::fast::FastInterpreter::run_from`].
+    /// [`crate::interp::Interpreter::run_from`].
     ///
     /// # Errors
     ///
@@ -1716,8 +1878,8 @@ mod tests {
 
     #[test]
     fn pair_fusion_covers_non_identical_neighbours() {
-        // add/xor/lsh/rsh alternation: no identical runs, so the fast
-        // tier dispatches per op — the peephole must fuse the whole
+        // add/xor/lsh/rsh alternation: no identical runs, so decode's
+        // RLE leaves one op per slot — the peephole must fuse the whole
         // straight-line region into a single block superinstruction.
         let (_, threaded) =
             lower_src("mov r0, 5\nadd r0, 7\nxor r0, 3\nlsh r0, 2\nrsh r0, 1\nexit");

@@ -87,7 +87,7 @@ impl OpCounts {
 
     /// Rebuilds counts from a flat array indexed by [`OpClass::index`].
     ///
-    /// The decoded fast path counts operations in a flat `[u64; 11]`
+    /// The threaded tier counts operations in a flat `[u64; 11]`
     /// (a single indexed add per op, no per-class match) and converts
     /// once at `exit`.
     pub fn from_class_array(counts: &[u64; OpClass::COUNT]) -> Self {

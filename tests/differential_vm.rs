@@ -1,6 +1,6 @@
 //! Randomized differential tests on the VM stack: the vanilla reference
-//! interpreter, the decoded fast path, the threaded-code tier and the
-//! CertFC defensive engine must be observationally identical on every
+//! interpreter, the threaded-code tier and the CertFC defensive engine
+//! must be observationally identical on every
 //! verified program (the property the paper proves in Coq for CertFC,
 //! checked here by seeded adversarial search), and the
 //! assembler/disassembler round-trips.
@@ -11,12 +11,11 @@
 //! replayable from the reported seed): it draws instruction streams
 //! from a vocabulary rich enough to exercise every interpreter path,
 //! canonicalizes unused fields so more programs verify, and runs every
-//! verified program through all four engines comparing return values,
+//! verified program through all three engines comparing return values,
 //! final stacks, [`OpCounts`] and faults.
 
 use femto_containers::rbpf::certfc::CertInterpreter;
 use femto_containers::rbpf::decode::DecodedProgram;
-use femto_containers::rbpf::fast::FastInterpreter;
 use femto_containers::rbpf::helpers::HelperRegistry;
 use femto_containers::rbpf::interp::Interpreter;
 use femto_containers::rbpf::mem::{MemoryMap, Perm};
@@ -131,7 +130,7 @@ fn arb_insn(rng: &mut XorShift) -> isa::Insn {
 /// Generates one candidate program (possibly invalid); wide opcodes get
 /// their pair slot appended so some survive verification. Roughly a
 /// quarter of the instructions are emitted as runs of identical copies,
-/// exercising the fast path's run-length superinstructions.
+/// exercising the decoder's run-length superinstructions.
 fn arb_program(rng: &mut XorShift) -> Vec<isa::Insn> {
     let len = 1 + rng.below(24) as usize;
     let mut insns = Vec::with_capacity(len + 2);
@@ -168,10 +167,6 @@ fn observe(engine: &str, prog: &verifier::VerifiedProgram) -> Observation {
     let out = match engine {
         "vanilla" => Interpreter::new(prog, cfg).run(&mut mem, &mut helpers, 0x2000_0000),
         "certfc" => CertInterpreter::new(prog, cfg).run(&mut mem, &mut helpers, 0x2000_0000),
-        "fast" => {
-            let decoded = DecodedProgram::lower(prog);
-            FastInterpreter::new(&decoded, cfg).run(&mut mem, &mut helpers, 0x2000_0000)
-        }
         "threaded" => {
             let threaded = ThreadedProgram::lower(&DecodedProgram::lower(prog));
             ThreadedInterpreter::new(&threaded, cfg).run(&mut mem, &mut helpers, 0x2000_0000)
@@ -208,7 +203,7 @@ fn register_diff_helpers(helpers: &mut HelperRegistry<'_>) {
 }
 
 /// Like [`observe`], but with the differential helper set registered
-/// and (for the decoded tiers) call sites slot-bound, as the hosting
+/// and (for the threaded tier) call sites slot-bound, as the hosting
 /// engine does at install.
 fn observe_with_helpers(engine: &str, prog: &verifier::VerifiedProgram) -> Observation {
     let cfg = ExecConfig::new(4_096, 512);
@@ -220,11 +215,6 @@ fn observe_with_helpers(engine: &str, prog: &verifier::VerifiedProgram) -> Obser
     let out = match engine {
         "vanilla" => Interpreter::new(prog, cfg).run(&mut mem, &mut helpers, 0x2000_0000),
         "certfc" => CertInterpreter::new(prog, cfg).run(&mut mem, &mut helpers, 0x2000_0000),
-        "fast" => {
-            let mut decoded = DecodedProgram::lower(prog);
-            decoded.bind_helpers(&helpers);
-            FastInterpreter::new(&decoded, cfg).run(&mut mem, &mut helpers, 0x2000_0000)
-        }
         "threaded" => {
             let mut decoded = DecodedProgram::lower(prog);
             decoded.bind_helpers(&helpers);
@@ -237,8 +227,8 @@ fn observe_with_helpers(engine: &str, prog: &verifier::VerifiedProgram) -> Obser
 }
 
 /// The tentpole property: over thousands of seeded random programs, the
-/// decoded fast path and the threaded-code tier are observationally
-/// equivalent to the reference interpreter (same `return_value`, same
+/// threaded-code tier is observationally equivalent to the reference
+/// interpreter (same `return_value`, same
 /// `OpCounts`, same final stack, same `VmError` on faults), and CertFC
 /// agrees too.
 #[test]
@@ -262,10 +252,8 @@ fn engines_agree_on_seeded_random_programs() {
         };
         verified += 1;
         let vanilla = observe("vanilla", &prog);
-        let fast = observe("fast", &prog);
         let threaded = observe("threaded", &prog);
         let cert = observe("certfc", &prog);
-        assert_eq!(vanilla, fast, "fast path diverged, seed {}", seed - 1);
         assert_eq!(
             vanilla,
             threaded,
@@ -284,9 +272,9 @@ fn engines_agree_on_seeded_random_programs() {
 
 /// Helper-call differential corpus: seeded random programs whose
 /// vocabulary includes `call` into the three-helper differential set
-/// (pure, memory-writing, data-dependently faulting). All four engines
+/// (pure, memory-writing, data-dependently faulting). All three engines
 /// must agree on values, counts, stacks — and on `HelperFault` /
-/// `HelperDenied` outcomes — with the decoded tiers running slot-bound
+/// `HelperDenied` outcomes — with the threaded tier running slot-bound
 /// call sites as the hosting engine installs them.
 #[test]
 fn engines_agree_on_helper_call_programs() {
@@ -320,10 +308,8 @@ fn engines_agree_on_helper_call_programs() {
             called += 1;
         }
         let vanilla = observe_with_helpers("vanilla", &prog);
-        let fast = observe_with_helpers("fast", &prog);
         let threaded = observe_with_helpers("threaded", &prog);
         let cert = observe_with_helpers("certfc", &prog);
-        assert_eq!(vanilla, fast, "fast path diverged, seed {}", seed - 1);
         assert_eq!(
             vanilla,
             threaded,

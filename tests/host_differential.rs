@@ -19,14 +19,14 @@ use femto_containers::core::hooks::{Hook, HookKind, HookPolicy};
 use femto_containers::fleet::node::{RemoteConfig, RemoteNode, FLEET_MTU};
 use femto_containers::fleet::{FcFleet, FleetConfig};
 use femto_containers::host::{
-    CoapFront, CounterId, ExecTier, FcHost, HookEvent, HostConfig, HostError, LiveUpdateService,
-    LocalNode, MetricsSnapshot, RebalanceConfig, Rebalancer, ShedPolicy, TelemetryConfig,
+    CoapFront, CounterId, FcHost, HookEvent, HostConfig, HostError, LiveUpdateService, LocalNode,
+    MetricsSnapshot, RebalanceConfig, Rebalancer, ShedPolicy, TelemetryConfig,
 };
 use femto_containers::kvstore::Scope;
 use femto_containers::net::link::LinkConfig;
 use femto_containers::net::load::{CoapLoadGen, LoadShape};
 use femto_containers::rbpf::program::{FcProgram, ProgramBuilder};
-use femto_containers::rtos::platform::{Engine, Platform};
+use femto_containers::rtos::platform::{cycle_model, Engine, Platform};
 use femto_containers::suit::{SigningKey, Uuid};
 
 const PKT_LEN: usize = 64;
@@ -157,18 +157,15 @@ fn host_reports(events: &[usize], workers: usize) -> Vec<HookReport> {
     host_reports_with(events, workers, TelemetryConfig::default())
 }
 
-/// As [`host_reports`], with an explicit execution tier — the
-/// interpreter-tier differential runs through here.
-fn host_reports_tier(events: &[usize], workers: usize, tier: ExecTier) -> Vec<HookReport> {
-    host_reports_config(
-        events,
-        HostConfig {
-            workers,
-            queue_capacity: events.len() + 1,
-            exec_tier: tier,
-            ..HostConfig::default()
-        },
-    )
+/// As [`host_reports`], on a host of the given engine flavour — the
+/// reference-interpreter (`Engine::Rbpf`) oracle runs through here.
+fn host_reports_flavor(events: &[usize], workers: usize, flavor: Engine) -> Vec<HookReport> {
+    let config = HostConfig {
+        workers,
+        queue_capacity: events.len() + 1,
+        ..HostConfig::default()
+    };
+    host_run(events, flavor, config).0
 }
 
 /// As [`host_reports`], with an explicit telemetry configuration —
@@ -192,13 +189,17 @@ fn host_reports_with(
 /// Common body: provisions the six-tenant fixture on a concurrent host
 /// built from `config`, fires `events`, and collects per-event reports.
 fn host_reports_config(events: &[usize], config: HostConfig) -> Vec<HookReport> {
-    host_run(events, config).0
+    host_run(events, Engine::FemtoContainer, config).0
 }
 
 /// As [`host_reports_config`], also returning the host's ledger after
 /// the run: its metrics snapshot and each shard's simulated cycles.
-fn host_run(events: &[usize], config: HostConfig) -> (Vec<HookReport>, MetricsSnapshot, Vec<u64>) {
-    let mut host = FcHost::new(Platform::CortexM4, Engine::FemtoContainer, config);
+fn host_run(
+    events: &[usize],
+    flavor: Engine,
+    config: HostConfig,
+) -> (Vec<HookReport>, MetricsSnapshot, Vec<u64>) {
+    let mut host = FcHost::new(Platform::CortexM4, flavor, config);
     let hooks = provision(
         |h: &mut FcHost, hook, o| h.register_hook(hook, o),
         &mut host,
@@ -266,33 +267,39 @@ fn per_event_reports_identical_to_single_threaded_fire_hook() {
     );
 }
 
-/// The interpreter tier must be invisible in every per-event report:
-/// running the same event stream under the reference, fast and
-/// threaded tiers (the threaded tier is the shard default) produces
-/// bit-identical [`HookReport`]s — results, op counts, cycles, region
-/// contents, faults — and all match the single-threaded reference
-/// engine, at 1 and 4 workers.
+/// The interpreter must be invisible in every per-event report apart
+/// from its flavour's cycle model: a host of the `Rbpf` flavour runs
+/// the reference interpreter (the oracle) where the default host runs
+/// the threaded tier, and once its VM cycles are re-derived from its
+/// own op counts through the Femto-Container cycle model its
+/// [`HookReport`]s are bit-identical to the default host's — results,
+/// op counts, helper cycles, context and region contents, faults — at
+/// 1 and 4 workers. The default host also matches the single-threaded
+/// reference engine.
 #[test]
-fn exec_tiers_produce_bit_identical_reports() {
+fn rbpf_flavor_host_matches_default_host_reports() {
     let events = event_stream(300);
     let reference = reference_reports(&events);
+    let femto = cycle_model(Platform::CortexM4, Engine::FemtoContainer);
+    let rbpf = cycle_model(Platform::CortexM4, Engine::Rbpf);
     for workers in [1, 4] {
-        let by_tier: Vec<Vec<HookReport>> =
-            [ExecTier::Reference, ExecTier::Fast, ExecTier::Threaded]
-                .into_iter()
-                .map(|tier| host_reports_tier(&events, workers, tier))
-                .collect();
+        let threaded = host_reports(&events, workers);
         assert_eq!(
-            by_tier[0], by_tier[2],
-            "threaded tier diverged from reference tier at {workers} workers"
-        );
-        assert_eq!(
-            by_tier[1], by_tier[2],
-            "threaded tier diverged from fast tier at {workers} workers"
-        );
-        assert_eq!(
-            reference, by_tier[2],
+            reference, threaded,
             "threaded host diverged from single-threaded reference at {workers} workers"
+        );
+        let mut oracle = host_reports_flavor(&events, workers, Engine::Rbpf);
+        for report in &mut oracle {
+            report.cycles = Platform::CortexM4.empty_hook_cycles();
+            for exec in &mut report.executions {
+                assert_eq!(exec.vm_cycles, rbpf.execution_cycles(&exec.counts));
+                exec.vm_cycles = femto.execution_cycles(&exec.counts);
+                report.cycles += exec.total_cycles();
+            }
+        }
+        assert_eq!(
+            oracle, threaded,
+            "threaded host diverged from the reference-interpreter host at {workers} workers"
         );
     }
 }
@@ -347,8 +354,12 @@ fn telemetry_off_keeps_the_whole_dispatch_ledger() {
             telemetry,
             ..HostConfig::default()
         };
-        let (_, on, on_cycles) = host_run(&events, config(TelemetryConfig::default()));
-        let (_, off, off_cycles) = host_run(&events, config(off));
+        let (_, on, on_cycles) = host_run(
+            &events,
+            Engine::FemtoContainer,
+            config(TelemetryConfig::default()),
+        );
+        let (_, off, off_cycles) = host_run(&events, Engine::FemtoContainer, config(off));
         for id in [CounterId::Dispatched, CounterId::Insns, CounterId::Faults] {
             assert_eq!(
                 off.counter(id),
